@@ -15,10 +15,22 @@ Implication can additionally be rewritten through its disjunctive equivalents
 (NOT a OR b, NOT a OR (a AND b), or both) which trade success-finding power
 against failure-proving power.
 
+Bodies are never rebuilt.  A node of the tree is a goal: a formula of the
+program text under an environment, followed by the goal that runs after it.
+The environment maps each binder and procedure parameter in scope to a
+resolved term: the fresh variable a quantifier instance introduced, or the
+caller's argument with the caller's environment applied.  Atoms, bounds,
+closedness and witness checks read variables through it, so entering a
+quantifier or a procedure costs one small dict, not a copy of the body.
+
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
 an immutable Valuation snapshot, so solve/trace stay pure functions of
-(program, initial valuation, config) including leaf order.
+(program, initial valuation, config) including leaf order.  A negation or
+implication sub-tree reports the bindings its first success made, read off
+the trail, instead of a snapshot.  Traces keep the goal of each node and
+build its formula (the body with the environment substituted, as a reader
+expects) only when it is asked for.
 """
 
 from __future__ import annotations
@@ -34,9 +46,11 @@ from .formulas import (
     Atom,
     Call,
     Cons,
-    Empty,
+    EMPTY,
+    Eq,
     Exists,
     ExistsBounded,
+    FalseAtom,
     Forall,
     ForallBounded,
     Formula,
@@ -46,28 +60,32 @@ from .formulas import (
     Not,
     Or,
     ProgramUnit,
+    Rel,
     Scalar,
     Term,
+    TrueAtom,
     Var,
     atom_terms,
     concat,
-    conj,
     free_vars,
-    subst_formula,
+    subst_head,
+    term_vars,
 )
 from .normalize import FreshNames
 from .values import (
     Arrays,
     Assignment,
+    CLOSED_FALSE,
+    CLOSED_TRUE,
     Cell,
-    ClosedFalse,
-    ClosedTrue,
+    EMPTY_ENV,
     EMPTY_VALUATION,
+    Env,
     EvalFault,
-    NotEvaluable,
     Valuation,
     Value,
     classify_atom,
+    resolve_term,
     try_eval_term,
 )
 
@@ -146,17 +164,85 @@ def status_of(leaves: Iterator[Leaf] | list[Leaf] | tuple[Leaf, ...]) -> TreeSta
     return TreeStatus.UNDETERMINED if saw_error else TreeStatus.FAILED
 
 
+# ---------------------------------------------------------------------------
+# Goals
+
+
+class Goal:
+    """A non-empty conjunction still to run: `formula` under `env`, then
+    `next`.  None stands for the empty conjunction."""
+
+    __slots__ = ("formula", "env", "next", "_resolved")
+
+    def __init__(self, formula: Cons, env: Env, next: Goal | None):
+        self.formula = formula
+        self.env = env
+        self.next = next
+        self._resolved: Formula | None = None
+
+
+def goal(f: Formula, env: Env, next: Goal | None) -> Goal | None:
+    """f under env, then next.  An empty f adds nothing, just as
+    concat(EMPTY, tail) is tail, so no step is spent on it."""
+    return Goal(f, env, next) if type(f) is Cons else next
+
+
+def goal_formula(g: Goal | None, memo: dict | None = None) -> Formula:
+    """The formula g stands for: each part with its environment substituted,
+    joined in order.  Cached on every goal it passes, so the nodes of a trace,
+    which share their continuations, build each part once.  A memo shared
+    over calls also shares the substituted heads of the parts that goals
+    built from one another hold in common; it maps (id(suffix), id(env)) to
+    (suffix, env, substituted suffix), keeping both keys alive."""
+    if memo is None:
+        memo = {}
+    pending = []
+    while g is not None and g._resolved is None:
+        pending.append(g)
+        g = g.next
+    f = EMPTY if g is None else g._resolved
+    for g in reversed(pending):
+        f = concat(_subst_suffixes(g.formula, g.env, memo), f)
+        g._resolved = f
+    return f
+
+
+def _subst_suffixes(f: Formula, env: Env, memo: dict) -> Formula:
+    """subst_formula(f, env), reusing and recording every suffix of f."""
+    if not env:
+        return f
+    todo = []
+    while type(f) is Cons:
+        hit = memo.get((id(f), id(env)))
+        if hit is not None:
+            out = hit[2]
+            break
+        todo.append(f)
+        f = f.tail
+    else:
+        out = EMPTY
+    for cell in reversed(todo):
+        out = Cons(subst_head(cell.head, env), out)
+        memo[(id(cell), id(env))] = (cell, env, out)
+    return out
+
+
 @dataclass
 class TraceNode:
     """One node of the materialized computation tree.  Internal nodes carry
-    the remaining formula, the live valuation and the tag of the rule that
-    fired; leaf nodes carry the leaf payload instead."""
+    the goal that was expanded, the live valuation and the tag of the rule
+    that fired; leaf nodes carry the leaf payload instead."""
 
     tag: str
-    formula: Formula | None = None
+    goal: Goal | None = None
     valuation: Valuation | None = None
     children: list["TraceNode"] = field(default_factory=list)
     leaf: Leaf | None = None
+
+    @property
+    def formula(self) -> Formula | None:
+        """The remaining formula at this node; None on leaves."""
+        return None if self.leaf is not None else goal_formula(self.goal)
 
     def leaves(self) -> Iterator[Leaf]:
         stack = [self]
@@ -196,6 +282,9 @@ class _BudgetExceeded(Exception):
     pass
 
 
+Bindings = tuple[tuple["str | Cell", Value], ...]
+
+
 class _State(Valuation):
     """The search's live binding store: a valuation plus an undo trail.
     Scalar keys are strings and cell keys are tuples, so the trail stores the
@@ -230,26 +319,31 @@ class _State(Valuation):
         self.cells[cell] = value
         self.trail.append(cell)
 
+    def bindings_since(self, mark: int) -> Bindings:
+        return tuple(
+            (k, self.scalars[k] if type(k) is str else self.cells[k])
+            for k in self.trail[mark:]
+        )
+
     def snapshot(self) -> Valuation:
         return Valuation(self.scalars, self.cells)
 
 
-@dataclass(frozen=True)
-class _Exp:
-    """Result of expanding one node: either a leaf or ordered child formulas.
-    Any binding performed by the expansion is already on the trail; children
-    all start from the post-expansion state."""
+# What expand() reports for the empty goal: a success leaf, whose valuation
+# the caller takes from the store (run, trace) or the trail (subtree_status).
+_SUCCEEDED = object()
 
-    tag: str
-    leaf: Leaf | None = None
-    children: tuple[Formula, ...] = ()
+# expand() returns (rule tag, outcome): a tuple of child goals, FAIL, an
+# Error, or _SUCCEEDED.  Bindings the rule made are already on the trail, and
+# every child starts from the state after them.
+Expansion = tuple[str, "tuple[Goal | None, ...] | Leaf | object"]
 
 
 class _Search:
     def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation):
-        self.program = program
         self.cfg = config
         self.arrays = Arrays(program.arrays)
+        self.procedures = {p.name: p for p in program.procedures}
         self.fresh = FreshNames(program.fresh_base)
         self.steps = 0
         self.free = frozenset(program.free_var_names())
@@ -257,114 +351,107 @@ class _Search:
 
     # -- top-level enumeration ---------------------------------------------
 
-    def run(self, f: Formula) -> Iterator[Leaf]:
-        """All leaves of the tree for f under the current state, in
+    def run(self, g: Goal | None) -> Iterator[Leaf]:
+        """All leaves of the tree for g under the current state, in
         left-to-right order.  On budget exhaustion a step-budget error leaf
         ends the sequence."""
-        stack = [(f, self.state.mark())]
+        state = self.state
+        stack = [(g, state.mark())]
         while stack:
-            f2, mark = stack.pop()
-            self.state.undo_to(mark)
+            g, mark = stack.pop()
+            state.undo_to(mark)
             try:
-                exp = self.expand(f2)
+                _, outcome = self.expand(g)
             except _BudgetExceeded:
                 yield Error(STEP_BUDGET)
                 return
-            if exp.leaf is not None:
-                yield self._emit(exp.leaf)
+            if type(outcome) is tuple:
+                after = state.mark()
+                stack.extend((c, after) for c in reversed(outcome))
             else:
-                after = self.state.mark()
-                stack.extend((g, after) for g in reversed(exp.children))
+                yield self._leaf(outcome)
 
-    def _emit(self, leaf: Leaf) -> Leaf:
-        if isinstance(leaf, Success) and not self.cfg.report_internal_bindings:
-            kept = {
-                k: v for k, v in leaf.valuation.scalars.items() if k in self.free
-            }
-            return Success(Valuation(kept, leaf.valuation.cells))
-        return leaf
+    def _leaf(self, outcome) -> Leaf:
+        if outcome is not _SUCCEEDED:
+            return outcome
+        state = self.state
+        if self.cfg.report_internal_bindings:
+            return Success(state.snapshot())
+        free = self.free
+        kept = {k: v for k, v in state.scalars.items() if k in free}
+        return Success(Valuation(kept, state.cells))
 
     # -- single-node expansion ----------------------------------------------
 
-    def expand(self, f: Formula) -> _Exp:
+    def expand(self, g: Goal | None) -> Expansion:
         self.steps += 1
         if self.cfg.max_steps is not None and self.steps > self.cfg.max_steps:
             raise _BudgetExceeded()
-        if isinstance(f, Empty):
-            return _Exp("empty", leaf=Success(self.state.snapshot()))
-        assert isinstance(f, Cons)
-        head, tail = f.head, f.tail
-        if isinstance(head, Call):
-            return self._expand_call(head, tail)
-        if isinstance(head, Atom):
-            return self._expand_atom(head, tail)
-        if isinstance(head, Or):
-            return _Exp(
-                "disjunction",
-                children=(concat(head.left, tail), concat(head.right, tail)),
-            )
-        if isinstance(head, And):
-            return _Exp(
-                "conjunction",
-                children=(concat(head.left, concat(head.right, tail)),),
-            )
-        if isinstance(head, Not):
-            return self._expand_not(head, tail)
-        if isinstance(head, Implies):
-            return self._expand_implies(head, tail)
-        if isinstance(head, Exists):
-            name = self.fresh.fresh(head.var)
-            body = subst_formula(head.body, {head.var: Var(name, head.sort)})
-            return _Exp("exists", children=(concat(body, tail),))
-        if isinstance(head, (ExistsBounded, ForallBounded)):
-            return self._expand_bounded(head, tail)
-        if isinstance(head, Forall):
-            raise ValueError("unbounded FORALL reached the engine; normalize first")
-        raise TypeError(f"unknown head {head!r}")
+        if g is None:
+            return "empty", _SUCCEEDED
+        f = g.formula
+        head = f.head
+        rest = Goal(f.tail, g.env, g.next) if type(f.tail) is Cons else g.next
+        rule = _RULES.get(type(head))
+        if rule is None:
+            if isinstance(head, Forall):
+                raise ValueError("unbounded FORALL reached the engine; normalize first")
+            raise TypeError(f"unknown head {head!r}")
+        return rule(self, head, g.env, rest)
 
-    def _expand_atom(self, head: Atom, tail: Formula) -> _Exp:
-        cls = classify_atom(head, self.state, self.arrays)
-        if isinstance(cls, ClosedTrue):
-            return _Exp("atom", children=(tail,))
-        if isinstance(cls, ClosedFalse):
-            return _Exp("atom", leaf=FAIL)
+    def _expand_atom(self, head: Atom, env: Env, rest: Goal | None) -> Expansion:
+        cls = classify_atom(head, self.state, self.arrays, env)
+        if cls is CLOSED_TRUE:
+            return "atom", (rest,)
+        if cls is CLOSED_FALSE:
+            return "atom", FAIL
         if isinstance(cls, Assignment):
-            if isinstance(cls.target, str):
+            if type(cls.target) is str:
                 self.state.push_scalar(cls.target, cls.value)
             else:
                 self.state.push_cell(cls.target, cls.value)
-            return _Exp("atom", children=(tail,))
-        assert isinstance(cls, NotEvaluable)
+            return "atom", (rest,)
         cause = EVALUATION_FAULT if cls.fault is not None else ATOM_NOT_EVALUABLE
-        return _Exp("atom", leaf=Error(cause))
+        return "atom", Error(cause)
 
-    def _expand_call(self, head: Call, tail: Formula) -> _Exp:
-        proc = self.program.procedure(head.name)
+    def _expand_or(self, head: Or, env: Env, rest: Goal | None) -> Expansion:
+        return "disjunction", (goal(head.left, env, rest), goal(head.right, env, rest))
+
+    def _expand_and(self, head: And, env: Env, rest: Goal | None) -> Expansion:
+        return "conjunction", (goal(head.left, env, goal(head.right, env, rest)),)
+
+    def _expand_exists(self, head: Exists, env: Env, rest: Goal | None) -> Expansion:
+        inner = {**env, head.var: Var(self.fresh.fresh(head.var), head.sort)}
+        return "exists", (goal(head.body, inner, rest),)
+
+    def _expand_call(self, head: Call, env: Env, rest: Goal | None) -> Expansion:
+        proc = self.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
-        mapping = {name: arg for (name, _), arg in zip(proc.params, head.args)}
-        unfolded = subst_formula(proc.body, mapping)
-        return _Exp("procedure-unfold", children=(concat(unfolded, tail),))
+        callee = {
+            name: resolve_term(arg, env) for (name, _), arg in zip(proc.params, head.args)
+        }
+        return "procedure-unfold", (goal(proc.body, callee, rest),)
 
-    def _expand_not(self, head: Not, tail: Formula) -> _Exp:
-        closed = self.formula_closed(head.body)
+    def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
+        closed = self.formula_closed(head.body, env)
         if self.cfg.negation is NegationMode.STRICT and not closed:
-            return _Exp("negation", leaf=Error(NEGAND_UNDETERMINED))
+            return "negation", Error(NEGAND_UNDETERMINED)
         tag = "negation" if closed else "liberal-negation"
-        status, witness = self.subtree_status(head.body)
+        status, bindings = self.subtree_status(goal(head.body, env, None))
         if status is TreeStatus.FAILED:
-            return _Exp(tag, children=(tail,))
+            return tag, (rest,)
         if status is TreeStatus.SUCCESSFUL:
-            if closed or self._witness_clean(head.body, witness):
-                return _Exp(tag, leaf=FAIL)
-            return _Exp(tag, leaf=Error(NEGAND_UNDETERMINED))
-        return _Exp(tag, leaf=Error(NEGAND_UNDETERMINED))
+            if closed or self._witness_clean(head.body, env, bindings):
+                return tag, FAIL
+            return tag, Error(NEGAND_UNDETERMINED)
+        return tag, Error(NEGAND_UNDETERMINED)
 
-    def _expand_implies(self, head: Implies, tail: Formula) -> _Exp:
+    def _expand_implies(self, head: Implies, env: Env, rest: Goal | None) -> Expansion:
         mode = self.cfg.implication
         if mode is ImplicationMode.STRICT:
-            return self._implies_strict(head, tail)
-        neg_branch = conj(Not(head.antecedent))
+            return self._implies_strict(head, env, rest)
+        neg_branch = Cons(Not(head.antecedent), EMPTY)
         if mode is ImplicationMode.NEG_OR:
             rewritten = Or(neg_branch, head.consequent)
         elif mode is ImplicationMode.GUARDED:
@@ -372,158 +459,169 @@ class _Search:
         else:  # COMBINED
             rewritten = Or(
                 neg_branch,
-                conj(Or(head.consequent, concat(head.antecedent, head.consequent))),
+                Cons(Or(head.consequent, concat(head.antecedent, head.consequent)), EMPTY),
             )
-        return _Exp("implication-rewrite", children=(Cons(rewritten, tail),))
+        return "implication-rewrite", (Goal(Cons(rewritten, EMPTY), env, rest),)
 
-    def _implies_strict(self, head: Implies, tail: Formula) -> _Exp:
-        if self.cfg.pedantic and not self.formula_closed(head.antecedent):
-            return _Exp("implication", leaf=Error(ANTECEDENT_UNDETERMINED))
-        status, witness = self.subtree_status(head.antecedent)
+    def _implies_strict(self, head: Implies, env: Env, rest: Goal | None) -> Expansion:
+        if self.cfg.pedantic and not self.formula_closed(head.antecedent, env):
+            return "implication", Error(ANTECEDENT_UNDETERMINED)
+        status, bindings = self.subtree_status(goal(head.antecedent, env, None))
         if status is TreeStatus.FAILED:
-            return _Exp("implication", children=(tail,))
+            return "implication", (rest,)
         if status is TreeStatus.SUCCESSFUL:
-            if self.cfg.pedantic or self._witness_clean(head.antecedent, witness):
-                return _Exp("implication", children=(concat(head.consequent, tail),))
-            return _Exp("implication", leaf=Error(ANTECEDENT_UNDETERMINED))
-        return _Exp("implication", leaf=Error(ANTECEDENT_UNDETERMINED))
+            if self.cfg.pedantic or self._witness_clean(head.antecedent, env, bindings):
+                return "implication", (goal(head.consequent, env, rest),)
+            return "implication", Error(ANTECEDENT_UNDETERMINED)
+        return "implication", Error(ANTECEDENT_UNDETERMINED)
 
-    def _expand_bounded(self, head: ExistsBounded | ForallBounded, tail: Formula) -> _Exp:
+    def _expand_bounded(
+        self, head: ExistsBounded | ForallBounded, env: Env, rest: Goal | None
+    ) -> Expansion:
         exists = isinstance(head, ExistsBounded)
         tag = "bounded-exists" if exists else "bounded-forall"
         try:
-            lo = try_eval_term(head.lo, self.state, self.arrays)
-            hi = try_eval_term(head.hi, self.state, self.arrays)
+            lo = try_eval_term(head.lo, self.state, self.arrays, env)
+            hi = try_eval_term(head.hi, self.state, self.arrays, env)
         except EvalFault:
-            return _Exp(tag, leaf=Error(EVALUATION_FAULT))
+            return tag, Error(EVALUATION_FAULT)
         if lo is None or hi is None:
-            return _Exp(tag, leaf=Error(UNBOUNDED_RANGE))
+            return tag, Error(UNBOUNDED_RANGE)
         if lo > hi:
             if exists:
-                return _Exp(tag, leaf=FAIL)
-            return _Exp(tag, children=(tail,))
+                return tag, FAIL
+            return tag, (rest,)
         name = self.fresh.fresh(head.var)
-        body = subst_formula(head.body, {head.var: Var(name)})
         self.state.push_scalar(name, lo)
-        rest = type(head)(head.var, IntConst(lo + 1), IntConst(hi), head.body)
+        inner = {**env, head.var: Var(name)}
+        # the rest of the range rebinds head.var, so it may run under `inner`
+        others = Cons(type(head)(head.var, IntConst(lo + 1), IntConst(hi), head.body), EMPTY)
         if exists:
-            child = Cons(Or(body, conj(rest)), tail)
-        else:
-            child = concat(body, Cons(rest, tail))
-        return _Exp(tag, children=(child,))
+            return tag, (Goal(Cons(Or(head.body, others), EMPTY), inner, rest),)
+        return tag, (goal(head.body, inner, Goal(others, env, rest)),)
 
     # -- sub-tree status (negands, antecedents) -----------------------------
 
-    def subtree_status(self, f: Formula) -> tuple[TreeStatus, Valuation | None]:
-        """Explore the tree of f under the current state: stop at the first
-        success leaf (its full valuation is the witness); otherwise exhaust
+    def subtree_status(self, g: Goal | None) -> tuple[TreeStatus, Bindings]:
+        """Explore the tree of g under the current state: stop at the first
+        success leaf (the bindings it made are the witness); otherwise exhaust
         the tree so FAILED really means only-failure-leaves.  The state is
         restored before returning."""
-        base = self.state.mark()
+        state = self.state
+        base = state.mark()
         saw_error = False
-        stack = [(f, base)]
+        stack = [(g, base)]
         try:
             while stack:
-                f2, mark = stack.pop()
-                self.state.undo_to(mark)
-                exp = self.expand(f2)  # budget propagates to the caller
-                if exp.leaf is not None:
-                    if isinstance(exp.leaf, Success):
-                        return TreeStatus.SUCCESSFUL, exp.leaf.valuation
-                    if isinstance(exp.leaf, Error):
-                        saw_error = True
-                else:
-                    after = self.state.mark()
-                    stack.extend((g, after) for g in reversed(exp.children))
-            return (
-                TreeStatus.UNDETERMINED if saw_error else TreeStatus.FAILED
-            ), None
+                g, mark = stack.pop()
+                state.undo_to(mark)
+                _, outcome = self.expand(g)  # budget propagates to the caller
+                if type(outcome) is tuple:
+                    after = state.mark()
+                    stack.extend((c, after) for c in reversed(outcome))
+                elif outcome is _SUCCEEDED:
+                    return TreeStatus.SUCCESSFUL, state.bindings_since(base)
+                elif type(outcome) is Error:
+                    saw_error = True
+            return (TreeStatus.UNDETERMINED if saw_error else TreeStatus.FAILED), ()
         finally:
-            self.state.undo_to(base)
+            state.undo_to(base)
 
-    def _witness_clean(self, operand: Formula, witness: Valuation | None) -> bool:
+    def _witness_clean(self, operand: Formula, env: Env, bindings: Bindings) -> bool:
         """A success of the operand refutes its negation only when the witness
         pinned nothing that is still free in the operand under the current
         state: no new array-cell bindings and no new binding of a free
         variable."""
-        if witness is None:
-            return False
-        if len(witness.cells) != len(self.state.cells):
-            return False
         free = None
-        for name in witness.scalars:
-            if name in self.state.scalars:
-                continue
+        for key, _ in bindings:
+            if type(key) is not str:
+                return False
             if free is None:
-                free = set(free_vars(operand))
-            if name in free:
+                free = set()
+                for name in free_vars(operand):
+                    bound = env.get(name)
+                    if bound is None:
+                        free.add(name)
+                    else:
+                        free.update(v.name for v in term_vars(bound))
+            if key in free:
                 return False
         return True
 
     # -- formula closedness --------------------------------------------------
 
-    def formula_closed(self, f: Formula) -> bool:
+    def formula_closed(self, f: Formula, env: Env) -> bool:
         """Every free variable has a value and every array reference denotes a
         bound cell.  References whose indices depend on quantified variables
         cannot be resolved statically and count as not closed."""
-        return self._closed_formula(f, frozenset())
+        return self._closed_formula(f, frozenset(), env)
 
-    def _closed_formula(self, f: Formula, bound: frozenset[str]) -> bool:
+    def _closed_formula(self, f: Formula, bound: frozenset[str], env: Env) -> bool:
         for head in f:
-            if not self._closed_head(head, bound):
+            if not self._closed_head(head, bound, env):
                 return False
         return True
 
-    def _closed_head(self, h: Head, bound: frozenset[str]) -> bool:
+    def _closed_head(self, h: Head, bound: frozenset[str], env: Env) -> bool:
+        """`bound` holds the binders met inside the operand; `env` resolves
+        the names bound outside it, less any that an inner binder shadows."""
         if isinstance(h, Call):
-            proc = self.program.procedure(h.name)
+            proc = self.procedures.get(h.name)
             if proc is None:
                 return False
-            if not all(self._closed_term(t, bound) for t in h.args):
+            if not all(self._closed_term(t, bound, env) for t in h.args):
                 return False
-            mapping = {name: arg for (name, _), arg in zip(proc.params, h.args)}
-            return self._closed_formula(subst_formula(proc.body, mapping), bound)
+            callee = {
+                name: resolve_term(arg, env) for (name, _), arg in zip(proc.params, h.args)
+            }
+            return self._closed_formula(proc.body, bound, callee)
         if isinstance(h, Atom):
-            return all(self._closed_term(t, bound) for t in atom_terms(h))
+            return all(self._closed_term(t, bound, env) for t in atom_terms(h))
         if isinstance(h, Or):
-            return self._closed_formula(h.left, bound) and self._closed_formula(
-                h.right, bound
+            return self._closed_formula(h.left, bound, env) and self._closed_formula(
+                h.right, bound, env
             )
         if isinstance(h, And):
-            return self._closed_formula(h.left, bound) and self._closed_formula(
-                h.right, bound
+            return self._closed_formula(h.left, bound, env) and self._closed_formula(
+                h.right, bound, env
             )
         if isinstance(h, Implies):
-            return self._closed_formula(h.antecedent, bound) and self._closed_formula(
-                h.consequent, bound
-            )
+            return self._closed_formula(
+                h.antecedent, bound, env
+            ) and self._closed_formula(h.consequent, bound, env)
         if isinstance(h, Not):
-            return self._closed_formula(h.body, bound)
+            return self._closed_formula(h.body, bound, env)
         if isinstance(h, (Exists, Forall)):
-            return self._closed_formula(h.body, bound | {h.var})
+            return self._closed_formula(h.body, bound | {h.var}, _shadow(env, h.var))
         if isinstance(h, (ExistsBounded, ForallBounded)):
             return (
-                self._closed_term(h.lo, bound)
-                and self._closed_term(h.hi, bound)
-                and self._closed_formula(h.body, bound | {h.var})
+                self._closed_term(h.lo, bound, env)
+                and self._closed_term(h.hi, bound, env)
+                and self._closed_formula(h.body, bound | {h.var}, _shadow(env, h.var))
             )
         raise TypeError(f"unknown head {h!r}")
 
-    def _closed_term(self, t: Term, bound: frozenset[str]) -> bool:
+    def _closed_term(self, t: Term, bound: frozenset[str], env: Env) -> bool:
         if isinstance(t, Var):
+            resolved = env.get(t.name)
+            if resolved is not None:
+                return self._closed_term(resolved, bound, EMPTY_ENV)
             return t.name in self.state.scalars or t.name in bound
         if isinstance(t, App):
-            return all(self._closed_term(x, bound) for x in t.args)
+            return all(self._closed_term(x, bound, env) for x in t.args)
         if isinstance(t, ArrayRef):
-            for i in t.indices:
-                for v in _term_vars_iter(i):
-                    if v not in self.state.scalars:
+            indices = tuple(resolve_term(i, env) for i in t.indices)
+            for i in indices:
+                for v in term_vars(i):
+                    if v.name not in self.state.scalars:
                         return False
             try:
                 cell_idx = tuple(
-                    try_eval_term(i, self.state, self.arrays) for i in t.indices
+                    try_eval_term(i, self.state, self.arrays) for i in indices
                 )
             except EvalFault:
+                return False
+            if None in cell_idx:  # an index reads an unbound cell
                 return False
             decl = self.arrays.decl(t.array)
             if not decl.in_range(cell_idx):
@@ -532,22 +630,45 @@ class _Search:
         return True  # constants
 
 
-def _term_vars_iter(t: Term) -> Iterator[str]:
-    if isinstance(t, Var):
-        yield t.name
-    elif isinstance(t, App):
-        for x in t.args:
-            yield from _term_vars_iter(x)
-    elif isinstance(t, ArrayRef):
-        for x in t.indices:
-            yield from _term_vars_iter(x)
+def _shadow(env: Env, var: str) -> Env:
+    """env inside a binder of var."""
+    return {k: v for k, v in env.items() if k != var} if var in env else env
+
+
+# The expansion rule of each head type.
+_RULES = {
+    Eq: _Search._expand_atom,
+    Rel: _Search._expand_atom,
+    TrueAtom: _Search._expand_atom,
+    FalseAtom: _Search._expand_atom,
+    Call: _Search._expand_call,
+    Or: _Search._expand_or,
+    And: _Search._expand_and,
+    Not: _Search._expand_not,
+    Implies: _Search._expand_implies,
+    Exists: _Search._expand_exists,
+    ExistsBounded: _Search._expand_bounded,
+    ForallBounded: _Search._expand_bounded,
+}
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 
 
-def _check_initial(program: ProgramUnit, initial: Valuation) -> None:
+def _start(
+    program: ProgramUnit, initial: Valuation, config: EngineConfig, check: bool = True
+) -> _Search:
+    """A search of `program` from `initial`, after checking both."""
+    if not program.normalized:
+        raise ValueError("program must be normalized before execution")
+    search = _Search(program, config, initial)
+    if check:
+        _check_initial(program, initial, search.arrays)
+    return search
+
+
+def _check_initial(program: ProgramUnit, initial: Valuation, arrays: Arrays) -> None:
     free = dict(program.free_vars)
     for name, value in initial.scalars.items():
         if name not in free:
@@ -556,7 +677,7 @@ def _check_initial(program: ProgramUnit, initial: Valuation) -> None:
         if (type(value) is bool) != (want is Scalar.BOOL):
             raise ValueError(f"value for {name!r} must have sort {want}")
     for (array, idx), value in initial.cells.items():
-        decl = program.array(array)
+        decl = arrays.by_name.get(array)
         if decl is None:
             raise ValueError(f"unknown array {array!r}")
         if not decl.in_range(idx):
@@ -565,21 +686,14 @@ def _check_initial(program: ProgramUnit, initial: Valuation) -> None:
             raise ValueError(f"cells of {array!r} hold {decl.element} values")
 
 
-def _require_normalized(program: ProgramUnit) -> None:
-    if not program.normalized:
-        raise ValueError("program must be normalized before execution")
-
-
 def iter_leaves(
     program: ProgramUnit,
     initial: Valuation = EMPTY_VALUATION,
     config: EngineConfig = EngineConfig(),
 ) -> Iterator[Leaf]:
     """Lazy left-to-right leaf sequence of the query's computation tree."""
-    _require_normalized(program)
-    _check_initial(program, initial)
-    search = _Search(program, config, initial)
-    yield from search.run(program.query)
+    search = _start(program, initial, config)
+    yield from search.run(goal(program.query, EMPTY_ENV, None))
 
 
 def solve(
@@ -590,12 +704,10 @@ def solve(
     """Explore the tree (respecting solution/step limits) and classify it:
     SUCCESSFUL with the success leaves found, FAILED when every leaf failed,
     UNDETERMINED otherwise."""
-    _require_normalized(program)
-    _check_initial(program, initial)
-    search = _Search(program, config, initial)
+    search = _start(program, initial, config)
     leaves: list[Leaf] = []
     successes = 0
-    for leaf in search.run(program.query):
+    for leaf in search.run(goal(program.query, EMPTY_ENV, None)):
         leaves.append(leaf)
         if isinstance(leaf, Success):
             successes += 1
@@ -612,12 +724,20 @@ def eval_subtree_status(
 ) -> tuple[TreeStatus, Valuation | None]:
     """Status of the tree of (f, a): SUCCESSFUL with the first success leaf as
     witness, FAILED only after exhaustive exploration, else UNDETERMINED."""
-    _require_normalized(program)
-    search = _Search(program, config, a)
+    search = _start(program, a, config, check=False)
     try:
-        return search.subtree_status(f)
+        status, bindings = search.subtree_status(goal(f, EMPTY_ENV, None))
     except _BudgetExceeded:
         return TreeStatus.UNDETERMINED, None
+    if status is not TreeStatus.SUCCESSFUL:
+        return status, None
+    witness = Valuation(a.scalars, a.cells)
+    for key, value in bindings:
+        if type(key) is str:
+            witness.scalars[key] = value
+        else:
+            witness.cells[key] = value
+    return status, witness
 
 
 def trace(
@@ -627,49 +747,44 @@ def trace(
 ) -> TraceNode:
     """Materialize the computation tree with fired-rule tags.  The in-order
     leaf sequence equals the one solve() emits under the same config."""
-    _require_normalized(program)
-    _check_initial(program, initial)
-    search = _Search(program, config, initial)
+    search = _start(program, initial, config)
     root: TraceNode | None = None
     successes = 0
-    stack: list[tuple[Formula, int, TraceNode | None]] = [
-        (program.query, search.state.mark(), None)
+    stack: list[tuple[Goal | None, int, TraceNode | None]] = [
+        (goal(program.query, EMPTY_ENV, None), search.state.mark(), None)
     ]
     while stack:
-        f, mark, parent = stack.pop()
+        g, mark, parent = stack.pop()
         search.state.undo_to(mark)
         snapshot = search.state.snapshot()
         try:
-            exp = search.expand(f)
+            tag, outcome = search.expand(g)
         except _BudgetExceeded:
             cut = TraceNode("error", leaf=Error(STEP_BUDGET))
             if parent is None:
                 return cut
             parent.children.append(cut)
             return root if root is not None else cut
-        node = TraceNode(exp.tag, formula=f, valuation=snapshot)
+        node = TraceNode(tag, goal=g, valuation=snapshot)
         if parent is None:
             root = node
         else:
             parent.children.append(node)
-        if exp.leaf is not None:
-            leaf = search._emit(exp.leaf)
-            child = TraceNode(
-                _leaf_tag(leaf),
-                valuation=leaf.valuation if isinstance(leaf, Success) else None,
-                leaf=leaf,
-            )
-            node.children.append(child)
-            if isinstance(leaf, Success):
-                successes += 1
-                if (
-                    config.solution_limit is not None
-                    and successes >= config.solution_limit
-                ):
-                    break
-        else:
+        if type(outcome) is tuple:
             after = search.state.mark()
-            stack.extend((g, after, node) for g in reversed(exp.children))
+            stack.extend((c, after, node) for c in reversed(outcome))
+            continue
+        leaf = search._leaf(outcome)
+        child = TraceNode(
+            _leaf_tag(leaf),
+            valuation=leaf.valuation if isinstance(leaf, Success) else None,
+            leaf=leaf,
+        )
+        node.children.append(child)
+        if isinstance(leaf, Success):
+            successes += 1
+            if config.solution_limit is not None and successes >= config.solution_limit:
+                break
     assert root is not None
     return root
 

@@ -446,12 +446,6 @@ def subst_formula(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     return conj(*(subst_head(h, mapping) for h in f))
 
 
-def rename_bound(h: Exists | ExistsBounded | ForallBounded, fresh: str) -> Formula:
-    """Body of a quantifier head with its bound variable renamed to `fresh`."""
-    sort = h.sort if isinstance(h, Exists) else Scalar.INT
-    return subst_formula(h.body, {h.var: Var(fresh, sort)})
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing.  Output re-parses to the same structure; normalizer-fresh
 # bound names are stripped back to their surface base (avoiding capture), so
@@ -502,14 +496,25 @@ def _binder_name(var: str, body: Formula) -> tuple[str, Mapping[str, Term]]:
     return candidate, {var: Var(candidate)}
 
 
-def format_formula(f: Formula) -> str:
+def format_formula(f: Formula, memo: dict | None = None) -> str:
+    """f as surface text.  A memo shared over calls keeps the text of each
+    conjunct by (id(head), in_conj, last), with the head to keep it alive, so
+    formulas that share heads format each one once."""
     if isinstance(f, Empty):
         return "TRUE"
     parts = []
     heads = list(f)
+    in_conj = len(heads) > 1
     for i, h in enumerate(heads):
         last = i == len(heads) - 1
-        parts.append(_fmt_head(h, in_conj=len(heads) > 1, last=last))
+        if memo is None:
+            parts.append(_fmt_head(h, in_conj, last))
+            continue
+        key = (id(h), in_conj, last)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (h, _fmt_head(h, in_conj, last))
+        parts.append(hit[1])
     return " AND ".join(parts)
 
 

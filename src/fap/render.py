@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Error, Fail, Success, TraceNode
+from .engine import Error, Fail, Success, TraceNode, goal_formula
 from .formulas import format_formula
 from .values import format_valuation
 
@@ -49,10 +49,22 @@ def _leaf_label(node: TraceNode) -> str:
     return f"error({leaf.cause})"
 
 
-def _node_label(node: TraceNode, opts: RenderOptions) -> str:
+class _Memo:
+    """What consecutive nodes share, formatted once per rendering: their
+    continuations (see goal_formula) and the text of their heads."""
+
+    def __init__(self) -> None:
+        self.formulas: dict = {}
+        self.heads: dict = {}
+
+    def formula(self, node: TraceNode) -> str:
+        return format_formula(goal_formula(node.goal, self.formulas), self.heads)
+
+
+def _node_label(node: TraceNode, opts: RenderOptions, memo: _Memo) -> str:
     if node.leaf is not None:
         return _leaf_label(node)
-    text = f"[{node.tag}] {format_formula(node.formula)}"
+    text = f"[{node.tag}] {memo.formula(node)}"
     if opts.show_valuations:
         text += f" | {format_valuation(node.valuation)}"
     return text
@@ -61,6 +73,7 @@ def _node_label(node: TraceNode, opts: RenderOptions) -> str:
 def render_text(t: TraceNode, opts: RenderOptions = RenderOptions()) -> str:
     lines: list[str] = []
     budget = opts.max_nodes
+    memo = _Memo()
     # explicit stack keeps deep trees away from the recursion limit
     stack: list[tuple[TraceNode, int]] = [(t, 0)]
     while stack:
@@ -69,7 +82,7 @@ def render_text(t: TraceNode, opts: RenderOptions = RenderOptions()) -> str:
             lines.append("  " * depth + "... (truncated)")
             break
         budget -= 1
-        lines.append("  " * depth + _node_label(node, opts))
+        lines.append("  " * depth + _node_label(node, opts, memo))
         stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines) + "\n"
 

@@ -6,6 +6,11 @@ bindings ever appear.  Atom classification decides which of the four
 evaluation cases applies to an atom: closed-and-true, closed-and-false, an
 assignment (exactly one unbound variable/cell side against a closed side), or
 not evaluable.
+
+Terms are evaluated under an environment (`Env`) as well as a valuation: the
+engine runs quantifier and procedure bodies as written and resolves their
+binders and parameters through the environment, which maps each such name
+to a term that no longer mentions any of them.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ from .formulas import (
 
 Value = int | bool
 Cell = tuple[str, tuple[int, ...]]
+# binder or parameter name -> resolved term (mentions only names outside
+# every environment: free variables of the query and engine-fresh names)
+Env = Mapping[str, Term]
+
+EMPTY_ENV: Env = {}
 
 FAULT_DIV_ZERO = "division or modulo by zero"
 FAULT_RANGE = "array index out of declared range"
@@ -76,9 +86,6 @@ class Valuation:
         return all(self.scalars.get(k) == v for k, v in other.scalars.items()) and all(
             self.cells.get(k) == v for k, v in other.cells.items()
         ) and set(other.scalars) <= set(self.scalars) and set(other.cells) <= set(self.cells)
-
-    def size(self) -> int:
-        return len(self.scalars) + len(self.cells)
 
     def canonical(self) -> tuple:
         """Hashable content snapshot, sorted; for set comparisons in tests."""
@@ -141,35 +148,37 @@ class Arrays:
 NO_ARRAYS = Arrays()
 
 
-def _term_value(t: Term, a: Valuation, arrays: Arrays):
-    """Value of t under a, _OPEN if some variable/cell is unbound, or raise
-    EvalFault for div/mod-by-zero and out-of-range cells."""
-    if isinstance(t, IntConst):
-        return t.value
-    if isinstance(t, BoolConst):
-        return t.value
-    if isinstance(t, Var):
+def _term_value(t: Term, a: Valuation, arrays: Arrays, env: Env = EMPTY_ENV):
+    """Value of t under env and a, _OPEN if some variable/cell is unbound, or
+    raise EvalFault for div/mod-by-zero and out-of-range cells."""
+    kind = type(t)  # the hottest function of a search: no isinstance calls
+    if kind is Var:
+        bound = env.get(t.name)
+        if bound is not None:
+            return _term_value(bound, a, arrays)
         return a.scalars.get(t.name, _OPEN)
-    if isinstance(t, App):
-        lhs = _term_value(t.args[0], a, arrays)
-        rhs = _term_value(t.args[1], a, arrays)
+    if kind is IntConst or kind is BoolConst:
+        return t.value
+    if kind is App:
+        lhs = _term_value(t.args[0], a, arrays, env)
+        rhs = _term_value(t.args[1], a, arrays, env)
         if lhs is _OPEN or rhs is _OPEN:
             return _OPEN
         return apply_function(t.op, lhs, rhs)
-    if isinstance(t, ArrayRef):
-        cell = _cell_of(t, a, arrays)
+    if kind is ArrayRef:
+        cell = _cell_of(t, a, arrays, env)
         if cell is _OPEN:
             return _OPEN
         return a.cells.get(cell, _OPEN)
     raise TypeError(f"unknown term {t!r}")
 
 
-def _cell_of(t: ArrayRef, a: Valuation, arrays: Arrays):
+def _cell_of(t: ArrayRef, a: Valuation, arrays: Arrays, env: Env):
     """Concrete cell referenced by t, or _OPEN when an index is unbound.
     Closed indices outside the declared range fault."""
     idx: list[int] = []
     for i in t.indices:
-        v = _term_value(i, a, arrays)
+        v = _term_value(i, a, arrays, env)
         if v is _OPEN:
             return _OPEN
         idx.append(v)
@@ -177,6 +186,18 @@ def _cell_of(t: ArrayRef, a: Valuation, arrays: Arrays):
     if not decl.in_range(tuple(idx)):
         raise EvalFault(FAULT_RANGE)
     return (t.array, tuple(idx))
+
+
+def resolve_term(t: Term, env: Env) -> Term:
+    """t with every name that env binds replaced by its term; the result
+    means the same under any environment."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    if isinstance(t, App):
+        return App(t.op, tuple(resolve_term(x, env) for x in t.args))
+    if isinstance(t, ArrayRef):
+        return ArrayRef(t.array, tuple(resolve_term(x, env) for x in t.indices))
+    return t
 
 
 def apply_function(op: str, lhs: int, rhs: int) -> int:
@@ -209,10 +230,12 @@ def apply_relation(op: str, lhs: int, rhs: int) -> bool:
     raise ValueError(f"unknown relation {op!r}")
 
 
-def try_eval_term(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> Value | None:
+def try_eval_term(
+    t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS, env: Env = EMPTY_ENV
+) -> Value | None:
     """Value of a closed term, None when t is open; raises EvalFault on
     div/mod-by-zero or an out-of-range cell with closed indices."""
-    v = _term_value(t, a, arrays)
+    v = _term_value(t, a, arrays, env)
     return None if v is _OPEN else v
 
 
@@ -265,10 +288,12 @@ CLOSED_TRUE = ClosedTrue()
 CLOSED_FALSE = ClosedFalse()
 
 
-def classify_atom(atom: Atom, a: Valuation, arrays: Arrays = NO_ARRAYS) -> AtomClass:
-    """Decide the evaluation case for an atom under a valuation.  Procedure
-    calls are unfolded by the engine before classification and are rejected
-    here.  Faults are reported in-band via NotEvaluable.fault."""
+def classify_atom(
+    atom: Atom, a: Valuation, arrays: Arrays = NO_ARRAYS, env: Env = EMPTY_ENV
+) -> AtomClass:
+    """Decide the evaluation case for an atom under env and a valuation.
+    Procedure calls are unfolded by the engine before classification and are
+    rejected here.  Faults are reported in-band via NotEvaluable.fault."""
     if isinstance(atom, TrueAtom):
         return CLOSED_TRUE
     if isinstance(atom, FalseAtom):
@@ -277,8 +302,8 @@ def classify_atom(atom: Atom, a: Valuation, arrays: Arrays = NO_ARRAYS) -> AtomC
         raise TypeError("procedure atoms must be unfolded before classification")
     if isinstance(atom, Rel):
         try:
-            lhs = _term_value(atom.lhs, a, arrays)
-            rhs = _term_value(atom.rhs, a, arrays)
+            lhs = _term_value(atom.lhs, a, arrays, env)
+            rhs = _term_value(atom.rhs, a, arrays, env)
         except EvalFault as fault:
             return NotEvaluable(fault.reason)
         if lhs is _OPEN or rhs is _OPEN:
@@ -286,33 +311,37 @@ def classify_atom(atom: Atom, a: Valuation, arrays: Arrays = NO_ARRAYS) -> AtomC
         return CLOSED_TRUE if apply_relation(atom.op, lhs, rhs) else CLOSED_FALSE
     if isinstance(atom, Eq):
         try:
-            return _classify_eq(atom, a, arrays)
+            return _classify_eq(atom, a, arrays, env)
         except EvalFault as fault:
             return NotEvaluable(fault.reason)
     raise TypeError(f"unknown atom {atom!r}")
 
 
-def _classify_eq(atom: Eq, a: Valuation, arrays: Arrays) -> AtomClass:
-    lhs = _term_value(atom.lhs, a, arrays)
-    rhs = _term_value(atom.rhs, a, arrays)
+def _classify_eq(atom: Eq, a: Valuation, arrays: Arrays, env: Env) -> AtomClass:
+    lhs = _term_value(atom.lhs, a, arrays, env)
+    rhs = _term_value(atom.rhs, a, arrays, env)
     if lhs is not _OPEN and rhs is not _OPEN:
         return CLOSED_TRUE if lhs == rhs else CLOSED_FALSE
     if lhs is _OPEN and rhs is not _OPEN:
-        target = _assignment_target(atom.lhs, a, arrays)
+        target = _assignment_target(atom.lhs, a, arrays, env)
         return Assignment(target, rhs) if target is not None else NotEvaluable()
     if rhs is _OPEN and lhs is not _OPEN:
-        target = _assignment_target(atom.rhs, a, arrays)
+        target = _assignment_target(atom.rhs, a, arrays, env)
         return Assignment(target, lhs) if target is not None else NotEvaluable()
     return NotEvaluable()
 
 
-def _assignment_target(t: Term, a: Valuation, arrays: Arrays) -> str | Cell | None:
+def _assignment_target(
+    t: Term, a: Valuation, arrays: Arrays, env: Env
+) -> str | Cell | None:
     """The bindable site of an open equation side: a bare unbound variable, or
     an array reference with closed indices and an unbound cell."""
+    if isinstance(t, Var) and t.name in env:
+        t, env = env[t.name], EMPTY_ENV
     if isinstance(t, Var) and t.name not in a.scalars:
         return t.name
     if isinstance(t, ArrayRef):
-        cell = _cell_of(t, a, arrays)  # may fault; caller converts
+        cell = _cell_of(t, a, arrays, env)  # may fault; caller converts
         if cell is not _OPEN and cell not in a.cells:
             return cell
     return None

@@ -116,6 +116,27 @@ def test_subtree_budget_exhaustion_is_undetermined():
     assert status is TreeStatus.UNDETERMINED and witness is None
 
 
+def test_subtree_witness_is_the_full_valuation_with_cells_bound_by_the_subtree():
+    p = load("array a[1..3] : int;\n"
+             "query a[2] = 5 AND SOME k := 1 TO 3 DO a[k] = 7 END AND x = a[1] + a[2];")
+    initial = Valuation({}, {("a", (3,)): 1})
+    status, witness = eval_subtree_status(p, p.query, initial)
+    assert status is TreeStatus.SUCCESSFUL
+    assert witness.cells == {("a", (3,)): 1, ("a", (2,)): 5, ("a", (1,)): 7}
+    # the witness keeps the sub-tree's internal bindings too: x and the SOME
+    # variable of the iteration that succeeded
+    assert witness.scalars["x"] == 12
+    assert [v for n, v in witness.scalars.items() if n.startswith("k$")] == [1]
+    assert witness.extends(initial)
+
+
+def test_subtree_witness_of_a_closed_test_adds_nothing():
+    p = load("array a[1..2] : int;\nquery a[1] < a[2];")
+    initial = Valuation({}, {("a", (1,)): 1, ("a", (2,)): 2})
+    status, witness = eval_subtree_status(p, p.query, initial)
+    assert status is TreeStatus.SUCCESSFUL and witness == initial
+
+
 def test_bool_quantifier():
     r = statuses("EXISTS b : bool . b = TRUE AND x = 1")
     assert r.status is TreeStatus.SUCCESSFUL
@@ -353,6 +374,22 @@ def test_trace_shape_for_formula1():
     assert len(t.children) == 2
     leaves = list(t.leaves())
     assert leaf_kinds(leaves) == ["Fail", "Fail", "Fail", "Success"]
+
+
+def test_trace_node_formula_is_the_substituted_remainder():
+    from fap.formulas import EMPTY, Eq, IntConst, Var, conj
+
+    p = load("def one(n) := n = 1;\nquery EXISTS y . one(y) AND x = y;")
+    root = trace(p)
+    assert root.formula == p.query
+    unfold = root.children[0]
+    fresh = unfold.formula.head.args[0]
+    assert fresh.name.startswith("y$") and fresh.name != p.query.head.var
+    atom = unfold.children[0]
+    assert atom.formula == conj(Eq(fresh, IntConst(1)), Eq(Var("x"), fresh))
+    empty = atom.children[0].children[0]
+    assert empty.tag == "empty" and empty.formula == EMPTY
+    assert empty.children[0].formula is None  # the success leaf
 
 
 def test_trace_of_empty_query_is_two_nodes():

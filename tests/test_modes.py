@@ -68,6 +68,17 @@ def test_liberal_negation_errors_when_witness_binds_array_cell():
     assert r.status is TreeStatus.UNDETERMINED
 
 
+def test_negand_indexed_by_an_unbound_cell_is_not_closed():
+    from fap.normalize import load
+
+    p = load("array a[1..2] : int;\narray b[1..2, 1..2] : int;\n"
+             "query NOT b[a[1], 1] = 2;")
+    strict = solve(p, EMPTY_VALUATION, STRICT)
+    assert strict.leaves[0].cause == NEGAND_UNDETERMINED
+    bound = solve(p, Valuation({}, {("a", (1,)): 2, ("b", (2, 1)): 3}), STRICT)
+    assert leaf_kinds(bound.leaves) == ["Success"]
+
+
 def test_internal_existential_witness_is_clean():
     # the operand succeeds but only pins its own bound variable
     r = run("NOT (SOME k := 1 TO 3 DO k = 2 END)", LIBERAL)
