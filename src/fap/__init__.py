@@ -20,6 +20,7 @@ from .engine import (
     TreeStatus,
     eval_subtree_status,
     iter_leaves,
+    iter_trace,
     solve,
     status_of,
     trace,
@@ -78,6 +79,7 @@ __all__ = [
     "generate",
     "is_closed",
     "iter_leaves",
+    "iter_trace",
     "load",
     "load_query",
     "normalize",

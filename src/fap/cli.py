@@ -6,7 +6,8 @@
 
 Exit codes: 0 the query succeeded, 1 it failed, 2 it was undetermined
 (error leaves or step budget), 3 a static error (syntax/sort/cycle/name or
-bad bindings).
+bad bindings), 4 an internal error: fap itself crashed, and the one-line
+`internal error:` message on stderr names the exception.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 
 from .engine import (
     EngineConfig,
@@ -22,14 +22,14 @@ from .engine import (
     NegationMode,
     SolveResult,
     TreeStatus,
+    iter_trace,
     solve,
-    trace,
 )
 from .formulas import ProgramUnit, Scalar, format_program
 from .normalize import normalize_program
 from .oracle import GeneratorConfig, generate
 from .parser import Diagnostic, parse
-from .render import RenderFormat, RenderOptions, render
+from .render import RenderOptions, render
 from .squares import run_squares
 from .values import Valuation, Value, format_value
 
@@ -39,25 +39,7 @@ EXIT_BY_STATUS = {
     TreeStatus.UNDETERMINED: 2,
 }
 EXIT_STATIC = 3
-
-
-@dataclass(frozen=True)
-class RunReport:
-    status: TreeStatus
-    solutions: tuple[Valuation, ...]
-    leaf_counts: tuple[int, int, int]
-    steps: int
-    error_causes: tuple[str, ...]
-
-    @classmethod
-    def from_result(cls, result: SolveResult) -> "RunReport":
-        return cls(
-            status=result.status,
-            solutions=result.solutions,
-            leaf_counts=result.leaf_counts,
-            steps=result.steps,
-            error_causes=result.error_causes,
-        )
+EXIT_INTERNAL = 4
 
 
 def format_solution(v: Valuation) -> str:
@@ -69,7 +51,7 @@ def format_solution(v: Valuation) -> str:
     return " ".join(parts) if parts else "(empty)"
 
 
-def format_report(report: RunReport) -> str:
+def format_report(report: SolveResult) -> str:
     lines = [format_solution(s) for s in report.solutions]
     lines.append(f"status: {report.status.value}")
     s, f, e = report.leaf_counts
@@ -168,20 +150,6 @@ def _add_engine_flags(sub: argparse.ArgumentParser, neg_default: str) -> None:
     )
 
 
-def _emit_trace(
-    program: ProgramUnit,
-    initial: Valuation,
-    config: EngineConfig,
-    fmt: str,
-    out,
-) -> None:
-    node = trace(program, initial, config)
-    opts = RenderOptions(
-        format=RenderFormat.DOT if fmt == "dot" else RenderFormat.TEXT
-    )
-    out.write(render(node, opts))
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
@@ -200,16 +168,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATIC
     result = solve(program, initial, config)
-    report = RunReport.from_result(result)
+    if args.trace is not None:
+        # the traced search runs only as far as the rendering reads it
+        opts = RenderOptions(format=args.trace)
+        sys.stdout.write(render(iter_trace(program, initial, config), opts))
     if args.trace == "dot":
-        _emit_trace(program, initial, config, "dot", sys.stdout)
-        sys.stderr.write(format_report(report))
+        sys.stderr.write(format_report(result))
     elif args.trace == "text":
-        _emit_trace(program, initial, config, "text", sys.stdout)
-        sys.stdout.write("\n" + format_report(report))
+        sys.stdout.write("\n" + format_report(result))
     else:
-        sys.stdout.write(format_report(report))
-    return EXIT_BY_STATUS[report.status]
+        sys.stdout.write(format_report(result))
+    return EXIT_BY_STATUS[result.status]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -249,7 +218,6 @@ def cmd_squares(args: argparse.Namespace) -> int:
     except (ValueError, Diagnostic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATIC
-    run_report = RunReport.from_result(report.result)
     lines = []
     if report.placement:
         placed = " ".join(
@@ -258,8 +226,8 @@ def cmd_squares(args: argparse.Namespace) -> int:
         lines.append(f"placement: {placed}")
         lines.append("verified: coverage and disjointness hold")
     sys.stdout.write(("\n".join(lines) + "\n") if lines else "")
-    sys.stdout.write(format_report(run_report))
-    return EXIT_BY_STATUS[run_report.status]
+    sys.stdout.write(format_report(report.result))
+    return EXIT_BY_STATUS[report.result.status]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a crash must never read as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

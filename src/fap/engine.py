@@ -28,9 +28,10 @@ Internally the search keeps one mutable binding store with an undo trail
 an immutable Valuation snapshot, so solve/trace stay pure functions of
 (program, initial valuation, config) including leaf order.  A negation or
 implication sub-tree reports the bindings its first success made, read off
-the trail, instead of a snapshot.  Traces keep the goal of each node and
-build its formula (the body with the environment substituted, as a reader
-expects) only when it is asked for.
+the trail, instead of a snapshot.  A trace is a lazy preorder stream of
+nodes (iter_trace) that runs the search only as far as it is read; each
+node keeps its goal and builds its formula (the body with the environment
+substituted, as a reader expects) only when it is asked for.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ class Error:
 Leaf = Success | Fail | Error
 
 FAIL = Fail()
+_LEAF_TAGS = {Success: "success", Fail: "fail", Error: "error"}
 
 
 def status_of(leaves: Iterator[Leaf] | list[Leaf] | tuple[Leaf, ...]) -> TreeStatus:
@@ -187,44 +189,20 @@ def goal(f: Formula, env: Env, next: Goal | None) -> Goal | None:
     return Goal(f, env, next) if type(f) is Cons else next
 
 
-def goal_formula(g: Goal | None, memo: dict | None = None) -> Formula:
+def goal_formula(g: Goal | None) -> Formula:
     """The formula g stands for: each part with its environment substituted,
     joined in order.  Cached on every goal it passes, so the nodes of a trace,
-    which share their continuations, build each part once.  A memo shared
-    over calls also shares the substituted heads of the parts that goals
-    built from one another hold in common; it maps (id(suffix), id(env)) to
-    (suffix, env, substituted suffix), keeping both keys alive."""
-    if memo is None:
-        memo = {}
+    which share their continuations, build each part once."""
     pending = []
     while g is not None and g._resolved is None:
         pending.append(g)
         g = g.next
     f = EMPTY if g is None else g._resolved
     for g in reversed(pending):
-        f = concat(_subst_suffixes(g.formula, g.env, memo), f)
+        for head in reversed(list(g.formula)):
+            f = Cons(subst_head(head, g.env), f)
         g._resolved = f
     return f
-
-
-def _subst_suffixes(f: Formula, env: Env, memo: dict) -> Formula:
-    """subst_formula(f, env), reusing and recording every suffix of f."""
-    if not env:
-        return f
-    todo = []
-    while type(f) is Cons:
-        hit = memo.get((id(f), id(env)))
-        if hit is not None:
-            out = hit[2]
-            break
-        todo.append(f)
-        f = f.tail
-    else:
-        out = EMPTY
-    for cell in reversed(todo):
-        out = Cons(subst_head(cell.head, env), out)
-        memo[(id(cell), id(env))] = (cell, env, out)
-    return out
 
 
 @dataclass
@@ -244,16 +222,19 @@ class TraceNode:
         """The remaining formula at this node; None on leaves."""
         return None if self.leaf is not None else goal_formula(self.goal)
 
-    def leaves(self) -> Iterator[Leaf]:
-        stack = [self]
+    def preorder(self) -> Iterator[tuple[int, TraceNode]]:
+        """(depth, node) for this tree in preorder, as iter_trace yields them."""
+        stack = [(self, 0)]
         while stack:
-            node = stack.pop()
-            if node.leaf is not None:
-                yield node.leaf
-            stack.extend(reversed(node.children))
+            node, depth = stack.pop()
+            yield depth, node
+            stack.extend((c, depth + 1) for c in reversed(node.children))
+
+    def leaves(self) -> Iterator[Leaf]:
+        return (node.leaf for _, node in self.preorder() if node.leaf is not None)
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        return sum(1 for _ in self.preorder())
 
 
 @dataclass(frozen=True)
@@ -740,58 +721,57 @@ def eval_subtree_status(
     return status, witness
 
 
+def iter_trace(
+    program: ProgramUnit,
+    initial: Valuation = EMPTY_VALUATION,
+    config: EngineConfig = EngineConfig(),
+) -> Iterator[tuple[int, TraceNode]]:
+    """The computation tree as a lazy preorder stream of (depth, node), nodes
+    tagged with the rule that fired and without children: a leaf node follows
+    the node it ends.  The search runs only as far as the stream is read.  On
+    budget exhaustion a step-budget error node, at the depth of the goal it
+    cut, ends the stream."""
+    search = _start(program, initial, config)
+    state = search.state
+    successes = 0
+    stack = [(goal(program.query, EMPTY_ENV, None), state.mark(), 0)]
+    while stack:
+        g, mark, depth = stack.pop()
+        state.undo_to(mark)
+        snapshot = state.snapshot()
+        try:
+            tag, outcome = search.expand(g)
+        except _BudgetExceeded:
+            yield depth, TraceNode("error", leaf=Error(STEP_BUDGET))
+            return
+        yield depth, TraceNode(tag, goal=g, valuation=snapshot)
+        if type(outcome) is tuple:
+            after = state.mark()
+            stack.extend((c, after, depth + 1) for c in reversed(outcome))
+            continue
+        leaf = search._leaf(outcome)
+        yield depth + 1, TraceNode(
+            _LEAF_TAGS[type(leaf)],
+            valuation=leaf.valuation if isinstance(leaf, Success) else None,
+            leaf=leaf,
+        )
+        if isinstance(leaf, Success):
+            successes += 1
+            if config.solution_limit is not None and successes >= config.solution_limit:
+                return
+
+
 def trace(
     program: ProgramUnit,
     initial: Valuation = EMPTY_VALUATION,
     config: EngineConfig = EngineConfig(),
 ) -> TraceNode:
-    """Materialize the computation tree with fired-rule tags.  The in-order
-    leaf sequence equals the one solve() emits under the same config."""
-    search = _start(program, initial, config)
-    root: TraceNode | None = None
-    successes = 0
-    stack: list[tuple[Goal | None, int, TraceNode | None]] = [
-        (goal(program.query, EMPTY_ENV, None), search.state.mark(), None)
-    ]
-    while stack:
-        g, mark, parent = stack.pop()
-        search.state.undo_to(mark)
-        snapshot = search.state.snapshot()
-        try:
-            tag, outcome = search.expand(g)
-        except _BudgetExceeded:
-            cut = TraceNode("error", leaf=Error(STEP_BUDGET))
-            if parent is None:
-                return cut
-            parent.children.append(cut)
-            return root if root is not None else cut
-        node = TraceNode(tag, goal=g, valuation=snapshot)
-        if parent is None:
-            root = node
-        else:
-            parent.children.append(node)
-        if type(outcome) is tuple:
-            after = search.state.mark()
-            stack.extend((c, after, node) for c in reversed(outcome))
-            continue
-        leaf = search._leaf(outcome)
-        child = TraceNode(
-            _leaf_tag(leaf),
-            valuation=leaf.valuation if isinstance(leaf, Success) else None,
-            leaf=leaf,
-        )
-        node.children.append(child)
-        if isinstance(leaf, Success):
-            successes += 1
-            if config.solution_limit is not None and successes >= config.solution_limit:
-                break
-    assert root is not None
-    return root
-
-
-def _leaf_tag(leaf: Leaf) -> str:
-    if isinstance(leaf, Success):
-        return "success"
-    if isinstance(leaf, Fail):
-        return "fail"
-    return "error"
+    """Materialize the computation tree by linking up iter_trace(); its leaf
+    sequence equals the one solve() emits under the same config."""
+    path: list[TraceNode] = []  # the nodes from the root to the last one
+    for depth, node in iter_trace(program, initial, config):
+        del path[depth:]
+        if path:
+            path[-1].children.append(node)
+        path.append(node)
+    return path[0]

@@ -316,22 +316,22 @@ def atom_terms(a: Atom) -> tuple[Term, ...]:
 
 def free_vars(f: Formula) -> tuple[str, ...]:
     """Free scalar variable names of f, ordered by first occurrence."""
-    out: list[str] = []
+    out: dict[str, None] = {}  # an ordered set: a list would make this quadratic
     _free_vars(f, frozenset(), out)
     return tuple(out)
 
 
-def _free_vars(f: Formula, bound: frozenset[str], out: list[str]) -> None:
+def _free_vars(f: Formula, bound: frozenset[str], out: dict[str, None]) -> None:
     for head in f:
         _free_vars_head(head, bound, out)
 
 
-def _free_vars_head(h: Head, bound: frozenset[str], out: list[str]) -> None:
+def _free_vars_head(h: Head, bound: frozenset[str], out: dict[str, None]) -> None:
     if isinstance(h, Atom):
         for t in atom_terms(h):
             for v in term_vars(t):
-                if v.name not in bound and v.name not in out:
-                    out.append(v.name)
+                if v.name not in bound:
+                    out[v.name] = None
     elif isinstance(h, (Or, And, Implies)):
         left, right = _head_parts(h)
         _free_vars(left, bound, out)
@@ -343,8 +343,8 @@ def _free_vars_head(h: Head, bound: frozenset[str], out: list[str]) -> None:
     elif isinstance(h, (ExistsBounded, ForallBounded)):
         for t in (h.lo, h.hi):
             for v in term_vars(t):
-                if v.name not in bound and v.name not in out:
-                    out.append(v.name)
+                if v.name not in bound:
+                    out[v.name] = None
         _free_vars(h.body, bound | {h.var}, out)
     else:
         raise TypeError(f"unknown head {h!r}")
@@ -483,39 +483,12 @@ def _surface_name(name: str) -> str:
     return name.split(FRESH_MARK, 1)[0] if FRESH_MARK in name else name
 
 
-def _binder_name(var: str, body: Formula) -> tuple[str, Mapping[str, Term]]:
-    """Pick a printable spelling for a bound variable, avoiding capture."""
-    base = _surface_name(var)
-    taken = set(free_vars(body)) - {var}
-    candidate, n = base, 1
-    while candidate in taken:
-        n += 1
-        candidate = f"{base}_{n}"
-    if candidate == var:
-        return var, {}
-    return candidate, {var: Var(candidate)}
-
-
-def format_formula(f: Formula, memo: dict | None = None) -> str:
-    """f as surface text.  A memo shared over calls keeps the text of each
-    conjunct by (id(head), in_conj, last), with the head to keep it alive, so
-    formulas that share heads format each one once."""
-    if isinstance(f, Empty):
-        return "TRUE"
-    parts = []
+def format_formula(f: Formula) -> str:
+    """f as surface text."""
     heads = list(f)
-    in_conj = len(heads) > 1
-    for i, h in enumerate(heads):
-        last = i == len(heads) - 1
-        if memo is None:
-            parts.append(_fmt_head(h, in_conj, last))
-            continue
-        key = (id(h), in_conj, last)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (h, _fmt_head(h, in_conj, last))
-        parts.append(hit[1])
-    return " AND ".join(parts)
+    last = len(heads) - 1
+    parts = (format_head(h, last > 0, i == last) for i, h in enumerate(heads))
+    return " AND ".join(parts) or "TRUE"
 
 
 def _fmt_operand(f: Formula) -> str:
@@ -524,11 +497,12 @@ def _fmt_operand(f: Formula) -> str:
     if len(heads) == 1 and isinstance(
         heads[0], (Atom, Not, ExistsBounded, ForallBounded)
     ):
-        return _fmt_head(heads[0], in_conj=False, last=True)
+        return format_head(heads[0], in_conj=False, last=True)
     return f"({format_formula(f)})"
 
 
-def _fmt_head(h: Head, in_conj: bool, last: bool) -> str:
+def format_head(h: Head, in_conj: bool, last: bool) -> str:
+    """One conjunct as text, `in_conj` among others and `last` among them."""
     if isinstance(h, Eq):
         return f"{format_term(h.lhs)} = {format_term(h.rhs)}"
     if isinstance(h, Rel):
@@ -563,22 +537,35 @@ def _fmt_head(h: Head, in_conj: bool, last: bool) -> str:
     if isinstance(h, Not):
         return f"NOT {_fmt_operand(h.body)}"
     if isinstance(h, (Exists, Forall)):
-        name, mapping = _binder_name(h.var, h.body)
-        body = subst_formula(h.body, mapping)
+        name, body = format_scope(h.var, h.body)
         kw = "EXISTS" if isinstance(h, Exists) else "FORALL"
         ann = "" if h.sort is Scalar.INT else f" : {h.sort}"
-        text = f"{kw} {name}{ann} . {format_formula(body)}"
+        text = f"{kw} {name}{ann} . {body}"
         # quantifier scope runs maximally right: parenthesize unless final
         return f"({text})" if in_conj and not last else text
     if isinstance(h, (ExistsBounded, ForallBounded)):
-        name, mapping = _binder_name(h.var, h.body)
-        body = subst_formula(h.body, mapping)
-        kw = "SOME" if isinstance(h, ExistsBounded) else "FOR"
-        return (
-            f"{kw} {name} := {format_term(h.lo)} TO {format_term(h.hi)} "
-            f"DO {format_formula(body)} END"
-        )
+        return format_bounded(h, *format_scope(h.var, h.body))
     raise TypeError(f"unknown head {h!r}")
+
+
+def format_scope(var: str, body: Formula) -> tuple[str, str]:
+    """The printed name of a binder of var over body, avoiding capture, and
+    the text of the body under that name."""
+    base = _surface_name(var)
+    taken = set(free_vars(body)) - {var}
+    name, n = base, 1
+    while name in taken:
+        n += 1
+        name = f"{base}_{n}"
+    if name != var:
+        body = subst_formula(body, {var: Var(name)})
+    return name, format_formula(body)
+
+
+def format_bounded(h: ExistsBounded | ForallBounded, name: str, body: str) -> str:
+    """h as text, given its binder's printed name and body text (format_scope)."""
+    kw = "SOME" if isinstance(h, ExistsBounded) else "FOR"
+    return f"{kw} {name} := {format_term(h.lo)} TO {format_term(h.hi)} DO {body} END"
 
 
 def format_program(p: ProgramUnit) -> str:

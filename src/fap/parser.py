@@ -266,9 +266,13 @@ class _Parser:
         return f
 
     def conjunction(self) -> Formula:
-        f = self.unary()
+        parts = [self.unary()]
         while self.accept("AND"):
-            f = concat(f, self.unary())
+            parts.append(self.unary())
+        # joined from the right: each part's spine is rebuilt once
+        f = parts.pop()
+        for part in reversed(parts):
+            f = concat(part, f)
         return f
 
     def unary(self) -> Formula:

@@ -2,8 +2,9 @@
 
 bench/expected.json holds the step count, leaf counts and leaf-sequence
 SHA-256 of each benchmark workload.  A speed-up must leave them unchanged;
-this test recomputes them, with the benchmark's own digest, for the two
-workloads cheap enough to run here: the 33x32 tiling and the first 20
+this test recomputes them, with the benchmark's own digest, for the
+workloads cheap enough to run here: the 33x32 tiling, the traced queens8
+run (including the SHA-256 of its 9.0 MB of output), and the first 20
 generated programs under all ten mode configurations.
 """
 
@@ -16,6 +17,7 @@ import io
 import json
 from pathlib import Path
 
+import fap.cli
 import fap.squares
 from fap.cli import main
 from fap.engine import EngineConfig, ImplicationMode, NegationMode, solve
@@ -23,7 +25,8 @@ from fap.formulas import format_program
 from fap.normalize import load
 from fap.oracle import GeneratorConfig, generate
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
 
 
@@ -45,27 +48,38 @@ MODE_CONFIGS = tuple(
 )
 
 
-def test_tiling_33x32_matches_record(monkeypatch):
+def cli_record(monkeypatch, module, argv: list[str]) -> dict:
+    """The determinism record of one in-process `fap` command whose single
+    search is `module.solve`."""
     solved = []
-    real_solve = fap.squares.solve
+    real_solve = module.solve
 
     def capture(*args, **kwargs):
         solved.append(real_solve(*args, **kwargs))
         return solved[-1]
 
-    monkeypatch.setattr(fap.squares, "solve", capture)
+    monkeypatch.setattr(module, "solve", capture)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = main(["squares", "33", "32", "18", "15", "14", "10", "9", "8", "7", "4", "1"])
+        rc = main(argv)
     assert rc == 0 and len(solved) == 1
     counts, leaf_sha = leaf_digest(solved[0].leaves)
-    observed = {
+    return {
         "steps": solved[0].steps,
         "leaves": list(counts),
         "leaf_sha256": leaf_sha,
         "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
     }
-    assert observed == EXPECTED["tiling_33x32"]
+
+
+def test_tiling_33x32_matches_record(monkeypatch):
+    argv = ["squares", "33", "32", "18", "15", "14", "10", "9", "8", "7", "4", "1"]
+    assert cli_record(monkeypatch, fap.squares, argv) == EXPECTED["tiling_33x32"]
+
+
+def test_queens8_trace_matches_record(monkeypatch):
+    argv = ["run", str(ROOT / "corpus" / "queens8.fap"), "--first", "10", "--trace", "text"]
+    assert cli_record(monkeypatch, fap.cli, argv) == EXPECTED["queens8_trace"]
 
 
 def test_gen_sweep_first_20_matches_record():

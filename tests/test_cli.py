@@ -47,6 +47,17 @@ def test_static_error_exits_three(tmp_path):
     assert proc.stdout == ""
 
 
+def test_internal_error_exits_four_on_one_line(tmp_path):
+    # deep enough to overflow the recursive sort checker
+    deep = tmp_path / "deep.fap"
+    deep.write_text("query x = " + " + ".join(["1"] * 3000) + ";\n")
+    proc = run_cli("run", str(deep))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: RecursionError")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_missing_file_exits_three():
     proc = run_cli("run", "corpus/nope.fap")
     assert proc.returncode == 3

@@ -260,3 +260,20 @@ def test_roundtrip_fixpoint_on_corpus_files():
         once = format_program(parse(text))
         twice = format_program(parse(once))
         assert once == twice
+
+
+def test_long_conjunction_parses_in_linear_time():
+    import time
+
+    def parse_time(n: int) -> float:
+        source = "query " + " AND ".join(f"x{i} = {i}" for i in range(n)) + ";"
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            program = parse(source)
+            best = min(best, time.perf_counter() - start)
+        assert len(list(program.query)) == n
+        return best
+
+    # four times the conjuncts: about 4x when linear, 16x when quadratic
+    assert parse_time(8000) / parse_time(2000) < 8

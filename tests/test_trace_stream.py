@@ -1,0 +1,162 @@
+"""The streamed trace: iter_trace, rendering from a stream, and node labels.
+
+`fap run --trace` renders the preorder stream of engine.iter_trace and stops
+reading it at the node budget, and it formats node labels from each goal's
+heads and environment instead of from the substituted formula.  These tests
+hold both to the materialized tree: the same text and DOT, and every label
+equal to the formula and valuation the tree's node reports.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+import fap.engine
+from fap.cli import main
+from fap.engine import (
+    EngineConfig,
+    ImplicationMode,
+    NegationMode,
+    TraceNode,
+    iter_trace,
+    solve,
+    trace,
+)
+from fap.formulas import format_formula
+from fap.normalize import load, load_query, normalize_program
+from fap.oracle import GeneratorConfig, generate
+from fap.render import RenderFormat, RenderOptions, render
+from fap.values import format_valuation
+from test_golden import PROCEDURES
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = sorted((ROOT / "corpus").glob("*.fap"))
+
+# a procedure body's binder that a call argument would capture when printed
+CAPTURE = "def p(x) := EXISTS y . y = x + 1; query y = 2 AND p(y);"
+# one body under several environments, and an engine-fresh y$N (printed y)
+# free inside a binder of y
+CALLS = """\
+def lt(a, b) := a < b;
+def p(x) := EXISTS y . y = x;
+query n = 3 AND lt(1, n) AND lt(n, 5) AND SOME y := 1 TO 2 DO p(y) AND lt(y, n) END;
+"""
+
+
+def programs():
+    """(name, program, config) for every corpus file, the golden procedures
+    program under the four implication modes, and the cases above."""
+    cases = []
+    for path in CORPUS:
+        config = EngineConfig(negation=NegationMode.LIBERAL, max_steps=3000)
+        cases.append((path.stem, load(path.read_text(encoding="utf-8")), config))
+    for impl in ImplicationMode:
+        config = EngineConfig(negation=NegationMode.LIBERAL, implication=impl)
+        cases.append((f"procedures_{impl.value}", load(PROCEDURES), config))
+    cases.append(("capture", load(CAPTURE), EngineConfig()))
+    cases.append(("calls", load(CALLS), EngineConfig()))
+    return cases
+
+
+CASES = programs()
+
+
+@pytest.mark.parametrize("name,program,config", CASES, ids=[c[0] for c in CASES])
+def test_every_label_is_the_nodes_formula_and_valuation(name, program, config):
+    tree = trace(program, config=config)
+    lines = render(tree, RenderOptions(max_nodes=10_000)).splitlines()
+    nodes = list(tree.preorder())[:10_000]
+    assert len(lines) >= len(nodes)
+    for (depth, node), line in zip(nodes, lines):
+        if node.leaf is None:
+            want = (f"[{node.tag}] {format_formula(node.formula)} | "
+                    f"{format_valuation(node.valuation)}")
+            assert line == "  " * depth + want
+
+
+def test_labels_of_generated_programs():
+    for seed in range(40):
+        program = normalize_program(generate(GeneratorConfig(seed=seed)))
+        tree = trace(program, config=EngineConfig(negation=NegationMode.LIBERAL))
+        lines = render(tree, RenderOptions(show_valuations=False)).splitlines()
+        for (depth, node), line in zip(tree.preorder(), lines):
+            if node.leaf is None:
+                assert line == f"{'  ' * depth}[{node.tag}] {format_formula(node.formula)}"
+
+
+def test_capture_renames_the_printed_binder():
+    text = render(trace(load(CAPTURE)))
+    assert "EXISTS y_2 . y_2 = y + 1" in text
+
+
+def stream_and_tree(program, config, opts):
+    return (render(iter_trace(program, config=config), opts),
+            render(trace(program, config=config), opts))
+
+
+@pytest.mark.parametrize("fmt", [RenderFormat.TEXT, RenderFormat.DOT])
+@pytest.mark.parametrize("max_nodes", [1, 3, 10_000])
+def test_stream_renders_as_the_tree(fmt, max_nodes):
+    opts = RenderOptions(format=fmt, max_nodes=max_nodes)
+    queens = load((ROOT / "corpus" / "queens8.fap").read_text(encoding="utf-8"))
+    for program, config in [
+        (queens, EngineConfig(solution_limit=1)),  # 12,553 nodes
+        (load(PROCEDURES), EngineConfig(negation=NegationMode.LIBERAL,
+                                        implication=ImplicationMode.COMBINED)),
+        (load_query("(x = 2 OR x = 3) AND (y = x + 1 OR 2 = y) AND 2 * x = 3 * y"),
+         EngineConfig()),
+    ]:
+        streamed, tree = stream_and_tree(program, config, opts)
+        assert streamed == tree
+        if max_nodes < 10_000:
+            assert "(truncated)" in streamed
+
+
+@pytest.mark.parametrize("fmt", [RenderFormat.TEXT, RenderFormat.DOT])
+def test_stream_renders_budget_cuts_as_the_tree(fmt):
+    opts = RenderOptions(format=fmt)
+    # the root's negand sub-tree exhausts the budget: the root is the cut
+    root_cut = load_query("NOT (1 = 2 OR 1 = 3 OR 1 = 4)")
+    streamed, tree = stream_and_tree(root_cut, EngineConfig(max_steps=2), opts)
+    assert streamed == tree
+    assert list(iter_trace(root_cut, config=EngineConfig(max_steps=2)))[0][0] == 0
+    assert trace(root_cut, config=EngineConfig(max_steps=2)).node_count() == 1
+    # cut below the root
+    formula1 = load_query("(x = 2 OR x = 3) AND (y = x + 1 OR 2 = y) AND 2 * x = 3 * y")
+    for steps in (2, 5, 9):
+        streamed, tree = stream_and_tree(formula1, EngineConfig(max_steps=steps), opts)
+        assert streamed == tree
+        assert "step-budget" in streamed
+
+
+def test_trace_leaves_match_solve_under_a_cut():
+    program = load((ROOT / "corpus" / "queens8.fap").read_text(encoding="utf-8"))
+    config = EngineConfig(max_steps=500)
+    assert tuple(trace(program, config=config).leaves()) == solve(program, config=config).leaves
+
+
+def test_cli_trace_stops_at_the_node_budget(monkeypatch):
+    created = []
+
+    class CountingNode(TraceNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(1)
+
+    monkeypatch.setattr(fap.engine, "TraceNode", CountingNode)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["run", str(ROOT / "corpus" / "queens8.fap"), "--first", "10",
+                   "--trace", "text"])
+    assert rc == 0
+    assert "... (truncated)" in out.getvalue()
+    assert 0 < len(created) <= RenderOptions().max_nodes + 1
+
+
+def test_node_count_of_a_deep_trace():
+    tree = trace(load_query(" AND ".join(["x = 1"] * 1500)))
+    assert tree.node_count() == 1502  # 1,500 atoms, the empty goal, the success
