@@ -31,7 +31,11 @@ implication sub-tree reports the bindings its first success made, read off
 the trail, instead of a snapshot.  A trace is a lazy preorder stream of
 nodes (iter_trace) that runs the search only as far as it is read; each
 node keeps its goal and builds its formula (the body with the environment
-substituted, as a reader expects) only when it is asked for.
+substituted, as a reader expects) only when it is asked for.  Nodes that
+start from the same store share one snapshot of it: the children of one
+expansion, and the children of an expansion that bound nothing together
+with their parent.  A trace therefore copies the store once per store
+state it reaches, not once per node.
 """
 
 from __future__ import annotations
@@ -208,8 +212,9 @@ def goal_formula(g: Goal | None) -> Formula:
 @dataclass
 class TraceNode:
     """One node of the materialized computation tree.  Internal nodes carry
-    the goal that was expanded, the live valuation and the tag of the rule
-    that fired; leaf nodes carry the leaf payload instead."""
+    the goal that was expanded, the valuation it was expanded under and the
+    tag of the rule that fired; leaf nodes carry the leaf payload instead.
+    Nodes expanded under the same store share one Valuation object."""
 
     tag: str
     goal: Goal | None = None
@@ -534,53 +539,47 @@ class _Search:
     def formula_closed(self, f: Formula, env: Env) -> bool:
         """Every free variable has a value and every array reference denotes a
         bound cell.  References whose indices depend on quantified variables
-        cannot be resolved statically and count as not closed."""
-        return self._closed_formula(f, frozenset(), env)
+        cannot be resolved statically and count as not closed.
 
-    def _closed_formula(self, f: Formula, bound: frozenset[str], env: Env) -> bool:
-        for head in f:
-            if not self._closed_head(head, bound, env):
-                return False
+        The walk keeps its own stack of (formula, bound, env), so a deep chain
+        of calls does not recurse.  `bound` holds the binders met inside the
+        operand; `env` resolves the names bound outside it, less any that an
+        inner binder shadows.  Heads are checked in the order they are
+        written, sub-formulas before the heads after them."""
+        closed_term = self._closed_term
+        todo = [(f, frozenset(), env)]
+        while todo:
+            f, bound, env = todo.pop()
+            if type(f) is not Cons:
+                continue
+            todo.append((f.tail, bound, env))
+            h = f.head
+            if isinstance(h, Call):
+                proc = self.procedures.get(h.name)
+                if proc is None or not all(closed_term(t, bound, env) for t in h.args):
+                    return False
+                callee = {
+                    name: resolve_term(arg, env) for (name, _), arg in zip(proc.params, h.args)
+                }
+                todo.append((proc.body, bound, callee))
+            elif isinstance(h, Atom):
+                if not all(closed_term(t, bound, env) for t in atom_terms(h)):
+                    return False
+            elif isinstance(h, (Or, And)):
+                todo += ((h.right, bound, env), (h.left, bound, env))
+            elif isinstance(h, Implies):
+                todo += ((h.consequent, bound, env), (h.antecedent, bound, env))
+            elif isinstance(h, Not):
+                todo.append((h.body, bound, env))
+            elif isinstance(h, (Exists, Forall)):
+                todo.append((h.body, bound | {h.var}, _shadow(env, h.var)))
+            elif isinstance(h, (ExistsBounded, ForallBounded)):
+                if not (closed_term(h.lo, bound, env) and closed_term(h.hi, bound, env)):
+                    return False
+                todo.append((h.body, bound | {h.var}, _shadow(env, h.var)))
+            else:
+                raise TypeError(f"unknown head {h!r}")
         return True
-
-    def _closed_head(self, h: Head, bound: frozenset[str], env: Env) -> bool:
-        """`bound` holds the binders met inside the operand; `env` resolves
-        the names bound outside it, less any that an inner binder shadows."""
-        if isinstance(h, Call):
-            proc = self.procedures.get(h.name)
-            if proc is None:
-                return False
-            if not all(self._closed_term(t, bound, env) for t in h.args):
-                return False
-            callee = {
-                name: resolve_term(arg, env) for (name, _), arg in zip(proc.params, h.args)
-            }
-            return self._closed_formula(proc.body, bound, callee)
-        if isinstance(h, Atom):
-            return all(self._closed_term(t, bound, env) for t in atom_terms(h))
-        if isinstance(h, Or):
-            return self._closed_formula(h.left, bound, env) and self._closed_formula(
-                h.right, bound, env
-            )
-        if isinstance(h, And):
-            return self._closed_formula(h.left, bound, env) and self._closed_formula(
-                h.right, bound, env
-            )
-        if isinstance(h, Implies):
-            return self._closed_formula(
-                h.antecedent, bound, env
-            ) and self._closed_formula(h.consequent, bound, env)
-        if isinstance(h, Not):
-            return self._closed_formula(h.body, bound, env)
-        if isinstance(h, (Exists, Forall)):
-            return self._closed_formula(h.body, bound | {h.var}, _shadow(env, h.var))
-        if isinstance(h, (ExistsBounded, ForallBounded)):
-            return (
-                self._closed_term(h.lo, bound, env)
-                and self._closed_term(h.hi, bound, env)
-                and self._closed_formula(h.body, bound | {h.var}, _shadow(env, h.var))
-            )
-        raise TypeError(f"unknown head {h!r}")
 
     def _closed_term(self, t: Term, bound: frozenset[str], env: Env) -> bool:
         if isinstance(t, Var):
@@ -730,15 +729,23 @@ def iter_trace(
     tagged with the rule that fired and without children: a leaf node follows
     the node it ends.  The search runs only as far as the stream is read.  On
     budget exhaustion a step-budget error node, at the depth of the goal it
-    cut, ends the stream."""
+    cut, ends the stream.  Nodes expanded under the same store share one
+    snapshot, taken when the first of them is reached."""
     search = _start(program, initial, config)
     state = search.state
     successes = 0
-    stack = [(goal(program.query, EMPTY_ENV, None), state.mark(), 0)]
+    # Each entry carries a one-slot list for the snapshot of the store it
+    # starts from.  Siblings start from the same store, the one after their
+    # parent's expansion, so they share the list; children of a node that
+    # bound nothing share the parent's list too.  The snapshot is taken when
+    # the first node of a list is popped.
+    stack = [(goal(program.query, EMPTY_ENV, None), state.mark(), 0, [None])]
     while stack:
-        g, mark, depth = stack.pop()
+        g, mark, depth, shared = stack.pop()
         state.undo_to(mark)
-        snapshot = state.snapshot()
+        snapshot = shared[0]
+        if snapshot is None:
+            snapshot = shared[0] = state.snapshot()
         try:
             tag, outcome = search.expand(g)
         except _BudgetExceeded:
@@ -747,7 +754,9 @@ def iter_trace(
         yield depth, TraceNode(tag, goal=g, valuation=snapshot)
         if type(outcome) is tuple:
             after = state.mark()
-            stack.extend((c, after, depth + 1) for c in reversed(outcome))
+            if after != mark:
+                shared = [None]
+            stack.extend((c, after, depth + 1, shared) for c in reversed(outcome))
             continue
         leaf = search._leaf(outcome)
         yield depth + 1, TraceNode(

@@ -544,7 +544,9 @@ def format_head(h: Head, in_conj: bool, last: bool) -> str:
         # quantifier scope runs maximally right: parenthesize unless final
         return f"({text})" if in_conj and not last else text
     if isinstance(h, (ExistsBounded, ForallBounded)):
-        return format_bounded(h, *format_scope(h.var, h.body))
+        name, body = format_scope(h.var, h.body)
+        kw = "SOME" if isinstance(h, ExistsBounded) else "FOR"
+        return f"{kw} {name} := {format_term(h.lo)} TO {format_term(h.hi)} DO {body} END"
     raise TypeError(f"unknown head {h!r}")
 
 
@@ -560,12 +562,6 @@ def format_scope(var: str, body: Formula) -> tuple[str, str]:
     if name != var:
         body = subst_formula(body, {var: Var(name)})
     return name, format_formula(body)
-
-
-def format_bounded(h: ExistsBounded | ForallBounded, name: str, body: str) -> str:
-    """h as text, given its binder's printed name and body text (format_scope)."""
-    kw = "SOME" if isinstance(h, ExistsBounded) else "FOR"
-    return f"{kw} {name} := {format_term(h.lo)} TO {format_term(h.hi)} DO {body} END"
 
 
 def format_program(p: ProgramUnit) -> str:

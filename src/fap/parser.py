@@ -454,24 +454,30 @@ def _check_acyclic(procs: list[tuple[ProcedureDef, Token]]) -> list[str]:
         where[proc.name] = tok
     order: list[str] = []
     state: dict[str, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(name: str, stack: list[str]) -> None:
-        if name not in graph:
-            return  # unknown callee; reported by the sort checker
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            tok = where[name]
-            cyc = " -> ".join(stack[stack.index(name):] + [name])
-            raise Diagnostic(CYCLE, f"recursive procedure cycle: {cyc}", tok.line, tok.col)
-        state[name] = 1
-        for callee in sorted(graph[name]):
-            visit(callee, stack + [name])
-        state[name] = 2
-        order.append(name)
-
-    for name in graph:
-        visit(name, [])
+    for root in graph:
+        if state.get(root) == 2:
+            continue
+        # depth-first with an explicit stack of (name, its callees still to
+        # visit), so a long chain of calls does not recurse
+        state[root] = 1
+        stack = [(root, iter(sorted(graph[root])))]
+        while stack:
+            name, callees = stack[-1]
+            for callee in callees:
+                if callee not in graph or state.get(callee) == 2:
+                    continue  # an unknown callee is reported by the sort checker
+                if state.get(callee) == 1:
+                    tok = where[callee]
+                    path = [n for n, _ in stack]
+                    cyc = " -> ".join(path[path.index(callee):] + [callee])
+                    raise Diagnostic(CYCLE, f"recursive procedure cycle: {cyc}", tok.line, tok.col)
+                state[callee] = 1
+                stack.append((callee, iter(sorted(graph[callee]))))
+                break
+            else:
+                stack.pop()
+                state[name] = 2
+                order.append(name)
     return order
 
 

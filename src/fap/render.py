@@ -4,7 +4,9 @@ A tree is a TraceNode or the preorder stream of (depth, node) that
 engine.iter_trace yields; rendering reads one node past the node budget and
 stops, so a streamed search goes no further than the output.  Text labels
 are built from each goal's heads and environment (_Labels), not from the
-substituted formula.
+substituted formula.  The engine shares one valuation snapshot among the
+nodes that start from the same store, so a valuation seen moments ago is
+printed from its text, not formatted again (_Valuations).
 
 Both renderings are deterministic (byte-identical for identical trees), list
 leaves in the tree's left-to-right order, and cap output at a node budget
@@ -22,20 +24,19 @@ from typing import Iterable, Iterator
 from .engine import Error, Fail, Goal, Success, TraceNode
 from .formulas import (
     FRESH_MARK,
+    Cons,
     ExistsBounded,
     ForallBounded,
     Head,
+    Or,
     Term,
     Var,
-    format_bounded,
     format_head,
-    format_scope,
-    subst_formula,
     subst_head,
     subst_term,
     term_vars,
 )
-from .values import Env, format_valuation
+from .values import Env, Valuation, format_valuation
 
 
 class RenderFormat:
@@ -52,6 +53,8 @@ class RenderOptions:
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
+        if self.format not in (RenderFormat.TEXT, RenderFormat.DOT):
+            raise ValueError(f"unknown format {self.format!r}")
 
 
 # A tree, or its preorder stream of (depth, node).
@@ -85,18 +88,35 @@ def _printed(t: Term) -> Term:
     return subst_term(t, fresh) if fresh else t
 
 
+_BOUNDED = (ExistsBounded, ForallBounded)
+
+
+def _head_key(h: Head) -> object:
+    """What a head's text depends on, besides its environment: its identity,
+    except for the heads the engine builds anew for each step through a
+    range.  Those are a bounded head around a body of the program text, and
+    the SOME rule's Or(body, rest of the range), and they are keyed by their
+    structure with the body by identity."""
+    if type(h) in _BOUNDED:
+        return (type(h), id(h.body), h.var, h.lo, h.hi)
+    if type(h) is Or:
+        right = h.right
+        if type(right) is Cons and type(right.tail) is not Cons and type(right.head) in _BOUNDED:
+            return (Or, id(h.left), _head_key(right.head))
+    return id(h)
+
+
 class _Labels:
     """Node formula text, put together from each goal part's (head, env) and
-    kept by (id(head), env, in_conj, last); it equals goal_formula's, printed.
-    Environments are keyed as printed: an engine-fresh i$17 prints as i and
-    never collides with a printed binder name, so mapping it to i$ changes no
-    text and lets the instances of one quantifier share entries.  The memos
-    keep alive the objects whose ids key them."""
+    kept by (_head_key(head), env, in_conj, last); it equals goal_formula's,
+    printed.  Environments are keyed as printed: an engine-fresh i$17 prints
+    as i and never collides with a printed binder name, so mapping it to i$
+    changes no text and lets the instances of one quantifier share entries.
+    The memos keep alive the objects whose ids key them."""
 
     def __init__(self) -> None:
         self.envs: dict = {}  # id(env) -> (env, printed env, its key)
-        self.heads: dict = {}  # (id(head), env key, in_conj, last) -> (head, text)
-        self.scopes: dict = {}  # (id(body), var, env key) -> (body, (name, text))
+        self.heads: dict = {}  # (head key, env key, in_conj, last) -> (head, text)
 
     def formula(self, g: Goal | None) -> str:
         parts = []
@@ -113,42 +133,55 @@ class _Labels:
         ) or "TRUE"
 
     def _head(self, h: Head, env: Env, key: frozenset, in_conj: bool, last: bool) -> str:
-        hit = self.heads.get((id(h), key, in_conj, last))
+        memo_key = (_head_key(h), key, in_conj, last)
+        hit = self.heads.get(memo_key)
         if hit is not None:
             return hit[1]
-        if isinstance(h, (ExistsBounded, ForallBounded)):
-            # the engine builds a new head for each step through a range,
-            # around the same body: keep the body's text by its identity
-            scope = self.scopes.get((id(h.body), h.var, key))
-            if scope is None:
-                inner = {n: t for n, t in env.items() if n != h.var}
-                scope = self.scopes[(id(h.body), h.var, key)] = (
-                    h.body, format_scope(h.var, subst_formula(h.body, inner)))
-            lo, hi = subst_term(h.lo, env), subst_term(h.hi, env)
-            text = format_bounded(type(h)(h.var, lo, hi, h.body), *scope[1])
-        else:
-            text = format_head(subst_head(h, env), in_conj, last)
-        self.heads[(id(h), key, in_conj, last)] = (h, text)
+        text = format_head(subst_head(h, env), in_conj, last)
+        self.heads[memo_key] = (h, text)
         return text
 
 
-def _node_label(node: TraceNode, opts: RenderOptions, labels: _Labels) -> str:
+class _Valuations:
+    """format_valuation, remembering the texts of the last two distinct
+    valuations it was given, by identity.  Nodes that start from the same
+    store share one snapshot: siblings, and the children of a node that
+    bound nothing.  In preorder a sibling comes after its elder's subtree,
+    so a valuation mostly recurs after at most one other; two slots catch
+    that and keep memory bounded, unlike a memo over the whole render."""
+
+    def __init__(self) -> None:
+        self.last = self.prev = (None, "")  # (valuation, its text)
+
+    def text(self, v: Valuation) -> str:
+        if self.last[0] is not v:
+            if self.prev[0] is v:
+                self.last, self.prev = self.prev, self.last
+            else:
+                self.last, self.prev = (v, format_valuation(v)), self.last
+        return self.last[1]
+
+
+def _node_label(
+    node: TraceNode, opts: RenderOptions, labels: _Labels, valuations: _Valuations
+) -> str:
     if node.leaf is not None:
         return _leaf_label(node)
     text = f"[{node.tag}] {labels.formula(node.goal)}"
     if opts.show_valuations:
-        text += f" | {format_valuation(node.valuation)}"
+        text += f" | {valuations.text(node.valuation)}"
     return text
 
 
 def render_text(t: Trace, opts: RenderOptions = RenderOptions()) -> str:
     lines: list[str] = []
     labels = _Labels()
+    valuations = _Valuations()
     for i, (depth, node) in enumerate(_preorder(t)):
         if i == opts.max_nodes:
             lines.append("  " * depth + "... (truncated)")
             break
-        lines.append("  " * depth + _node_label(node, opts, labels))
+        lines.append("  " * depth + _node_label(node, opts, labels, valuations))
     return "\n".join(lines) + "\n"
 
 
@@ -161,6 +194,7 @@ def _dot_escape(s: str) -> str:
 
 def render_dot(t: Trace, opts: RenderOptions = RenderOptions()) -> str:
     lines = ["digraph computation {"]
+    valuations = _Valuations()
     path: list[int] = []  # ids of the nodes from the root to the last one
     for nid, (depth, node) in enumerate(_preorder(t)):
         del path[depth:]
@@ -176,7 +210,7 @@ def render_dot(t: Trace, opts: RenderOptions = RenderOptions()) -> str:
         else:
             label = _dot_escape(node.tag)
             if opts.show_valuations:
-                label += "\\n" + _dot_escape(format_valuation(node.valuation))
+                label += "\\n" + _dot_escape(valuations.text(node.valuation))
             lines.append(f'  n{nid} [label="{label}"];')
         if path:
             lines.append(f"  n{path[-1]} -> n{nid};")

@@ -4,6 +4,10 @@ reference for leaf-order checks), a static step bound, and tiny wrappers."""
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from fap.engine import Success
 from fap.formulas import (
@@ -31,6 +35,16 @@ from fap.formulas import (
 )
 
 _counter = itertools.count(1)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fap(args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m fap.cli *args` in a child process that imports fap from
+    this checkout's src, whether or not PYTHONPATH names it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fap.cli", *args], env=env, **kwargs)
 
 
 def _fresh(base: str) -> str:

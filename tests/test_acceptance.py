@@ -7,13 +7,11 @@ is the reference for every comparison.
 """
 
 import random
-import subprocess
-import sys
 import time
 
 import pytest
 
-from helpers import leaf_kinds, literal_bounded_expansion, success_sets
+from helpers import leaf_kinds, literal_bounded_expansion, run_fap, success_sets
 from fap.engine import (
     EngineConfig,
     ImplicationMode,
@@ -362,10 +360,7 @@ def _cli_bytes() -> bytes:
         ["run", FORMULA1, "--all", "--trace", "dot"],
         ["gen", "--seed", "7", "--depth", "4"],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fap.cli", *args], capture_output=True
-        )
-        out += proc.stdout
+        out += run_fap(args, capture_output=True).stdout
     return out
 
 

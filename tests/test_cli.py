@@ -1,8 +1,6 @@
-import subprocess
-import sys
-
 import pytest
 
+from helpers import run_fap
 from fap.cli import format_solution, main, parse_bindings
 from fap.normalize import load
 from fap.parser import Diagnostic, parse
@@ -10,11 +8,7 @@ from fap.values import Valuation
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "fap.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    return run_fap(args, capture_output=True, text=True)
 
 
 def test_run_formula1_all():

@@ -190,6 +190,15 @@ def test_nested_procedure_calls():
     assert r.solutions[0] == Valuation({"r": 5})
 
 
+def test_negation_over_a_deep_call_chain():
+    # closedness of NOT p999(y) walks the chain p999 -> p998 -> ... -> p0
+    src = "def p0(x) := x = 1;\n"
+    src += "".join(f"def p{i}(x) := p{i - 1}(x);\n" for i in range(1, 1000))
+    assert solve(load(src + "query y = 1 AND NOT p999(y);")).status is TreeStatus.FAILED
+    assert solve(load(src + "query y = 2 AND NOT p999(y);")).solutions == (
+        Valuation({"y": 2}),)
+
+
 # -- budget and limits ---------------------------------------------------------
 
 def test_step_budget_yields_error_leaf_and_undetermined():

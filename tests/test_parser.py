@@ -1,5 +1,6 @@
 import pytest
 
+from fap.engine import solve
 from fap.formulas import (
     ArrayRef,
     Cons,
@@ -14,7 +15,9 @@ from fap.formulas import (
     TrueAtom,
     format_program,
 )
+from fap.normalize import load
 from fap.parser import CYCLE, Diagnostic, NAME, SORT, SYNTAX, parse, parse_query
+from fap.values import Valuation
 
 
 def heads(program):
@@ -47,6 +50,23 @@ def test_mutual_recursion_is_a_cycle():
     with pytest.raises(Diagnostic) as exc:
         parse(src)
     assert exc.value.kind == CYCLE
+
+
+def test_cycle_reports_its_path_at_the_repeated_procedure():
+    src = "def p(x) := q(x);\ndef q(x) := p(x);\nquery p(1);"
+    with pytest.raises(Diagnostic) as exc:
+        parse(src)
+    assert exc.value.kind == CYCLE
+    assert exc.value.message == "recursive procedure cycle: p -> q -> p"
+    assert (exc.value.line, exc.value.col) == (1, 5)  # at the name p
+
+
+def test_long_forward_chain_of_procedures_parses():
+    # p0 calls p1 calls ... p999: the acyclicity walk follows the whole chain
+    src = "".join(f"def p{i}(x) := p{i + 1}(x);\n" for i in range(999))
+    src += "def p999(x) := x = 1;\nquery p0(y);"
+    assert len(parse(src).procedures) == 1000
+    assert solve(load(src)).solutions == (Valuation({"y": 1}),)
 
 
 def test_forward_reference_is_fine_when_acyclic():

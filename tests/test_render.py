@@ -67,6 +67,11 @@ def test_max_nodes_must_be_positive():
         RenderOptions(max_nodes=0)
 
 
+def test_format_must_be_known():
+    with pytest.raises(ValueError, match="xml"):
+        RenderOptions(format="xml")
+
+
 def test_rendering_is_deterministic():
     for fmt in (RenderFormat.TEXT, RenderFormat.DOT):
         a = render(formula1_trace(), RenderOptions(format=fmt))

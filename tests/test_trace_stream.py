@@ -10,7 +10,10 @@ equal to the formula and valuation the tree's node reports.
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,37 @@ def test_cli_trace_stops_at_the_node_budget(monkeypatch):
     assert rc == 0
     assert "... (truncated)" in out.getvalue()
     assert 0 < len(created) <= RenderOptions().max_nodes + 1
+
+
+def test_cli_trace_snapshots_and_formats_per_store_state(monkeypatch):
+    # queens8 --first 10 renders 10,001 nodes, but the traced search starts
+    # them from only 3,445 distinct stores: siblings share one snapshot, and
+    # the renderer formats a valuation it printed moments ago only once
+    counts = {"snapshot": 0, "format_valuation": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    # the module, not the function fap exports under the same name
+    render_module = importlib.import_module("fap.render")
+    monkeypatch.setattr(fap.engine._State, "snapshot",
+                        counting("snapshot", fap.engine._State.snapshot))
+    monkeypatch.setattr(render_module, "format_valuation",
+                        counting("format_valuation", render_module.format_valuation))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["run", str(ROOT / "corpus" / "queens8.fap"), "--first", "10",
+                   "--trace", "text"])
+    assert rc == 0
+    nodes = RenderOptions().max_nodes + 1
+    assert 0 < counts["snapshot"] < nodes / 2
+    assert 0 < counts["format_valuation"] < nodes / 2
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == expected["queens8_trace"]["stdout_sha256"]
 
 
 def test_node_count_of_a_deep_trace():
