@@ -122,13 +122,14 @@ def engine_config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-def _add_engine_flags(sub: argparse.ArgumentParser, neg_default: str) -> None:
+def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
+    """The search flags of `run` and `squares`; engine_config reads them and
+    `--neg`, which `run` takes and `squares` fixes."""
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", help="enumerate every solution")
     group.add_argument(
         "--first", type=int, default=1, metavar="N", help="stop after N solutions"
     )
-    sub.add_argument("--neg", choices=["strict", "liberal"], default=neg_default)
     sub.add_argument(
         "--impl",
         choices=["strict", "negor", "guarded", "combined"],
@@ -140,14 +141,6 @@ def _add_engine_flags(sub: argparse.ArgumentParser, neg_default: str) -> None:
         help="verbatim strict implication (no liberal relaxations)",
     )
     sub.add_argument("--max-steps", type=int, default=100_000_000, metavar="N")
-    sub.add_argument("--trace", choices=["text", "dot"], default=None)
-    sub.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="NAME=V",
-        help="bind a free variable (x=3) or array cell (a[1,2]=5) up front",
-    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -205,15 +198,8 @@ def cmd_squares(args: argparse.Namespace) -> int:
         target = partial_x if m.group("name") == "posX" else partial_y
         target[k] = int(m.group("value"))
     try:
-        config = EngineConfig(
-            negation=NegationMode.LIBERAL,
-            implication=ImplicationMode(args.impl),
-            pedantic=args.pedantic,
-            max_steps=args.max_steps,
-            solution_limit=None if args.all else args.first,
-        )
         report = run_squares(
-            args.nx, args.ny, args.sizes, partial_x, partial_y, config
+            args.nx, args.ny, args.sizes, partial_x, partial_y, engine_config(args)
         )
     except (ValueError, Diagnostic) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -238,7 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="run a .fap program")
     run.add_argument("file")
-    _add_engine_flags(run, neg_default="strict")
+    _add_engine_flags(run)
+    run.add_argument("--neg", choices=["strict", "liberal"], default="strict")
+    run.add_argument("--trace", choices=["text", "dot"], default=None)
+    run.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="NAME=V",
+        help="bind a free variable (x=3) or array cell (a[1,2]=5) up front",
+    )
     run.set_defaults(func=cmd_run)
 
     gen = subs.add_parser("gen", help="emit a random .fap program")
@@ -253,16 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     squares.add_argument("nx", type=int)
     squares.add_argument("ny", type=int)
     squares.add_argument("sizes", type=int, nargs="+")
-    group = squares.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true")
-    group.add_argument("--first", type=int, default=1, metavar="N")
-    squares.add_argument(
-        "--impl", choices=["strict", "negor", "guarded", "combined"], default="strict"
-    )
-    squares.add_argument("--pedantic", action="store_true")
-    squares.add_argument("--max-steps", type=int, default=100_000_000, metavar="N")
+    _add_engine_flags(squares)
     squares.add_argument("--set", action="append", default=[], metavar="posX[k]=v")
-    squares.set_defaults(func=cmd_squares)
+    # the tiling program needs liberal negation (see squares.py)
+    squares.set_defaults(func=cmd_squares, neg="liberal")
     return parser
 
 

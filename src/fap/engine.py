@@ -26,16 +26,20 @@ quantifier or a procedure costs one small dict, not a copy of the body.
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
 an immutable Valuation snapshot, so solve/trace stay pure functions of
-(program, initial valuation, config) including leaf order.  A negation or
-implication sub-tree reports the bindings its first success made, read off
-the trail, instead of a snapshot.  A trace is a lazy preorder stream of
-nodes (iter_trace) that runs the search only as far as it is read; each
-node keeps its goal and builds its formula (the body with the environment
-substituted, as a reader expects) only when it is asked for.  Nodes that
-start from the same store share one snapshot of it: the children of one
-expansion, and the children of an expansion that bound nothing together
-with their parent.  A trace therefore copies the store once per store
-state it reaches, not once per node.
+(program, initial valuation, config) including leaf order.
+
+One depth-first loop, _Search.walk, explores every tree: solve and
+iter_leaves read its leaves, the negation and implication rules read the
+leaves of their sub-trees through subtree_status (which stops at the first
+success and reports the bindings it made, read off the trail), and
+iter_trace reads every node.  A trace is a lazy preorder stream of nodes
+that runs the search only as far as it is read; each node keeps its goal and
+builds its formula (the body with the environment substituted, as a reader
+expects) only when it is asked for.  Nodes that start from the same store
+share one snapshot of it: the children of one expansion, and the children
+of an expansion that bound nothing together with their parent.  A trace
+therefore copies the store once per store state it reaches, not once per
+node.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from .formulas import (
     Forall,
     ForallBounded,
     Formula,
-    Head,
     Implies,
     IntConst,
     Not,
@@ -316,8 +319,12 @@ class _State(Valuation):
 
 
 # What expand() reports for the empty goal: a success leaf, whose valuation
-# the caller takes from the store (run, trace) or the trail (subtree_status).
+# the caller takes from the store (solve, trace) or the trail (subtree_status).
 _SUCCEEDED = object()
+
+# What walk() yields for the goal a step budget cut: the error leaf that
+# ends the tree.
+_CUT = Error(STEP_BUDGET)
 
 # expand() returns (rule tag, outcome): a tuple of child goals, FAIL, an
 # Error, or _SUCCEEDED.  Bindings the rule made are already on the trail, and
@@ -335,27 +342,37 @@ class _Search:
         self.free = frozenset(program.free_var_names())
         self.state = _State(initial)
 
-    # -- top-level enumeration ---------------------------------------------
+    # -- the depth-first driver ---------------------------------------------
 
-    def run(self, g: Goal | None) -> Iterator[Leaf]:
-        """All leaves of the tree for g under the current state, in
-        left-to-right order.  On budget exhaustion a step-budget error leaf
-        ends the sequence."""
+    def walk(
+        self, g: Goal | None, every_node: bool = False
+    ) -> Iterator[tuple[int, Goal | None, str, object, int]]:
+        """The one depth-first loop: expand the tree of g under the current
+        state, left to right, and yield (depth, goal, tag, outcome, mark) for
+        each leaf, or for each node when every_node is set (a trace; solve
+        and sub-trees would pay for a yield per step), while the store is
+        still as the expansion left it; mark is the trail length before it.
+        A budget cut yields _CUT at the depth of the goal it cut and ends
+        the walk."""
         state = self.state
-        stack = [(g, state.mark())]
+        stack = [(g, state.mark(), 0)]
         while stack:
-            g, mark = stack.pop()
+            g, mark, depth = stack.pop()
             state.undo_to(mark)
             try:
-                _, outcome = self.expand(g)
+                tag, outcome = self.expand(g)
             except _BudgetExceeded:
-                yield Error(STEP_BUDGET)
+                yield depth, g, "error", _CUT, mark
                 return
             if type(outcome) is tuple:
                 after = state.mark()
-                stack.extend((c, after) for c in reversed(outcome))
-            else:
-                yield self._leaf(outcome)
+                if len(outcome) == 1:  # most rules have one child
+                    stack.append((outcome[0], after, depth + 1))
+                else:
+                    stack.extend((c, after, depth + 1) for c in reversed(outcome))
+                if not every_node:
+                    continue
+            yield depth, g, tag, outcome, mark
 
     def _leaf(self, outcome) -> Leaf:
         if outcome is not _SUCCEEDED:
@@ -492,22 +509,17 @@ class _Search:
         """Explore the tree of g under the current state: stop at the first
         success leaf (the bindings it made are the witness); otherwise exhaust
         the tree so FAILED really means only-failure-leaves.  The state is
-        restored before returning."""
+        restored before returning; a budget cut propagates to the caller."""
         state = self.state
         base = state.mark()
         saw_error = False
-        stack = [(g, base)]
         try:
-            while stack:
-                g, mark = stack.pop()
-                state.undo_to(mark)
-                _, outcome = self.expand(g)  # budget propagates to the caller
-                if type(outcome) is tuple:
-                    after = state.mark()
-                    stack.extend((c, after) for c in reversed(outcome))
-                elif outcome is _SUCCEEDED:
+            for _, _, _, outcome, _ in self.walk(g):
+                if outcome is _SUCCEEDED:
                     return TreeStatus.SUCCESSFUL, state.bindings_since(base)
-                elif type(outcome) is Error:
+                if outcome is _CUT:
+                    raise _BudgetExceeded()
+                if type(outcome) is Error:
                     saw_error = True
             return (TreeStatus.UNDETERMINED if saw_error else TreeStatus.FAILED), ()
         finally:
@@ -673,7 +685,8 @@ def iter_leaves(
 ) -> Iterator[Leaf]:
     """Lazy left-to-right leaf sequence of the query's computation tree."""
     search = _start(program, initial, config)
-    yield from search.run(goal(program.query, EMPTY_ENV, None))
+    for _, _, _, outcome, _ in search.walk(goal(program.query, EMPTY_ENV, None)):
+        yield search._leaf(outcome)
 
 
 def solve(
@@ -687,11 +700,12 @@ def solve(
     search = _start(program, initial, config)
     leaves: list[Leaf] = []
     successes = 0
-    for leaf in search.run(goal(program.query, EMPTY_ENV, None)):
+    for _, _, _, outcome, _ in search.walk(goal(program.query, EMPTY_ENV, None)):
+        leaf = search._leaf(outcome)
         leaves.append(leaf)
-        if isinstance(leaf, Success):
+        if outcome is _SUCCEEDED:
             successes += 1
-            if config.solution_limit is not None and successes >= config.solution_limit:
+            if successes == config.solution_limit:
                 break
     return SolveResult(tuple(leaves), status_of(leaves), search.steps)
 
@@ -730,43 +744,29 @@ def iter_trace(
     the node it ends.  The search runs only as far as the stream is read.  On
     budget exhaustion a step-budget error node, at the depth of the goal it
     cut, ends the stream.  Nodes expanded under the same store share one
-    snapshot, taken when the first of them is reached."""
+    snapshot of it."""
     search = _start(program, initial, config)
     state = search.state
     successes = 0
-    # Each entry carries a one-slot list for the snapshot of the store it
-    # starts from.  Siblings start from the same store, the one after their
-    # parent's expansion, so they share the list; children of a node that
-    # bound nothing share the parent's list too.  The snapshot is taken when
-    # the first node of a list is popped.
-    stack = [(goal(program.query, EMPTY_ENV, None), state.mark(), 0, [None])]
-    while stack:
-        g, mark, depth, shared = stack.pop()
-        state.undo_to(mark)
-        snapshot = shared[0]
-        if snapshot is None:
-            snapshot = shared[0] = state.snapshot()
-        try:
-            tag, outcome = search.expand(g)
-        except _BudgetExceeded:
-            yield depth, TraceNode("error", leaf=Error(STEP_BUDGET))
+    # stores[d] is the store the nodes at depth d start from: their parent's,
+    # when its expansion bound nothing, else a snapshot taken right after it
+    stores = [state.snapshot()]
+    walk = search.walk(goal(program.query, EMPTY_ENV, None), every_node=True)
+    for depth, g, tag, outcome, mark in walk:
+        if outcome is _CUT:
+            yield depth, TraceNode(tag, leaf=outcome)
             return
-        yield depth, TraceNode(tag, goal=g, valuation=snapshot)
+        yield depth, TraceNode(tag, goal=g, valuation=stores[depth])
         if type(outcome) is tuple:
-            after = state.mark()
-            if after != mark:
-                shared = [None]
-            stack.extend((c, after, depth + 1, shared) for c in reversed(outcome))
+            del stores[depth + 1:]
+            stores.append(stores[depth] if state.mark() == mark else state.snapshot())
             continue
         leaf = search._leaf(outcome)
-        yield depth + 1, TraceNode(
-            _LEAF_TAGS[type(leaf)],
-            valuation=leaf.valuation if isinstance(leaf, Success) else None,
-            leaf=leaf,
-        )
-        if isinstance(leaf, Success):
+        valuation = leaf.valuation if outcome is _SUCCEEDED else None
+        yield depth + 1, TraceNode(_LEAF_TAGS[type(leaf)], valuation=valuation, leaf=leaf)
+        if outcome is _SUCCEEDED:
             successes += 1
-            if config.solution_limit is not None and successes >= config.solution_limit:
+            if successes == config.solution_limit:
                 return
 
 

@@ -314,83 +314,70 @@ def atom_terms(a: Atom) -> tuple[Term, ...]:
     return ()
 
 
+def head_parts(h: Head) -> tuple[tuple[Term, ...], tuple[Formula, ...], str | None]:
+    """What h is made of, in written order: the terms it reads outside its
+    binder, its sub-formulas, and the variable it binds (or None)."""
+    if isinstance(h, (Eq, Rel)):
+        return (h.lhs, h.rhs), (), None
+    if isinstance(h, Call):
+        return h.args, (), None
+    if isinstance(h, (TrueAtom, FalseAtom)):
+        return (), (), None
+    if isinstance(h, (Or, And)):
+        return (), (h.left, h.right), None
+    if isinstance(h, Implies):
+        return (), (h.antecedent, h.consequent), None
+    if isinstance(h, Not):
+        return (), (h.body,), None
+    if isinstance(h, (Exists, Forall)):
+        return (), (h.body,), h.var
+    if isinstance(h, (ExistsBounded, ForallBounded)):
+        return (h.lo, h.hi), (h.body,), h.var
+    raise TypeError(f"unknown head {h!r}")
+
+
+def term_args(t: Term) -> tuple[Term, ...]:
+    """The terms directly inside t: the indices of an array reference, the
+    arguments of an application."""
+    if isinstance(t, (Var, IntConst, BoolConst)):
+        return ()
+    return t.indices if isinstance(t, ArrayRef) else t.args
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """t and the terms inside it, in preorder."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        todo += reversed(term_args(t))
+
+
 def free_vars(f: Formula) -> tuple[str, ...]:
     """Free scalar variable names of f, ordered by first occurrence."""
     out: dict[str, None] = {}  # an ordered set: a list would make this quadratic
-    _free_vars(f, frozenset(), out)
+
+    def walk(f: Formula, bound: frozenset[str]) -> None:
+        for h in f:
+            terms, subs, var = head_parts(h)
+            for t in terms:
+                for v in term_vars(t):
+                    if v.name not in bound:
+                        out[v.name] = None
+            for sub in subs:
+                walk(sub, bound if var is None else bound | {var})
+
+    walk(f, frozenset())
     return tuple(out)
-
-
-def _free_vars(f: Formula, bound: frozenset[str], out: dict[str, None]) -> None:
-    for head in f:
-        _free_vars_head(head, bound, out)
-
-
-def _free_vars_head(h: Head, bound: frozenset[str], out: dict[str, None]) -> None:
-    if isinstance(h, Atom):
-        for t in atom_terms(h):
-            for v in term_vars(t):
-                if v.name not in bound:
-                    out[v.name] = None
-    elif isinstance(h, (Or, And, Implies)):
-        left, right = _head_parts(h)
-        _free_vars(left, bound, out)
-        _free_vars(right, bound, out)
-    elif isinstance(h, Not):
-        _free_vars(h.body, bound, out)
-    elif isinstance(h, (Exists, Forall)):
-        _free_vars(h.body, bound | {h.var}, out)
-    elif isinstance(h, (ExistsBounded, ForallBounded)):
-        for t in (h.lo, h.hi):
-            for v in term_vars(t):
-                if v.name not in bound:
-                    out[v.name] = None
-        _free_vars(h.body, bound | {h.var}, out)
-    else:
-        raise TypeError(f"unknown head {h!r}")
-
-
-def _head_parts(h: Head) -> tuple[Formula, Formula]:
-    if isinstance(h, Or):
-        return h.left, h.right
-    if isinstance(h, And):
-        return h.left, h.right
-    if isinstance(h, Implies):
-        return h.antecedent, h.consequent
-    raise TypeError(h)
 
 
 def array_names(f: Formula) -> set[str]:
     names: set[str] = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, ArrayRef):
-            names.add(t.array)
-            for i in t.indices:
-                walk_term(i)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-
-    def walk(f: Formula) -> None:
-        for h in f:
-            if isinstance(h, Atom):
-                for t in atom_terms(h):
-                    walk_term(t)
-            elif isinstance(h, (Or, And, Implies)):
-                left, right = _head_parts(h)
-                walk(left)
-                walk(right)
-            elif isinstance(h, Not):
-                walk(h.body)
-            elif isinstance(h, (Exists, Forall)):
-                walk(h.body)
-            elif isinstance(h, (ExistsBounded, ForallBounded)):
-                walk_term(h.lo)
-                walk_term(h.hi)
-                walk(h.body)
-
-    walk(f)
+    for h in f:
+        terms, subs, _ = head_parts(h)
+        names.update(s.array for t in terms for s in subterms(t) if isinstance(s, ArrayRef))
+        for sub in subs:
+            names |= array_names(sub)
     return names
 
 
@@ -554,7 +541,7 @@ def format_scope(var: str, body: Formula) -> tuple[str, str]:
     """The printed name of a binder of var over body, avoiding capture, and
     the text of the body under that name."""
     base = _surface_name(var)
-    taken = set(free_vars(body)) - {var}
+    taken = {_surface_name(n) for n in free_vars(body) if n != var}
     name, n = base, 1
     while name in taken:
         n += 1

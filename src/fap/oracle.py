@@ -42,10 +42,11 @@ from .formulas import (
     Term,
     TrueAtom,
     Var,
-    atom_terms,
     array_names,
     conj,
     free_vars,
+    head_parts,
+    subterms,
 )
 from .values import Valuation, Value, apply_relation
 
@@ -75,38 +76,19 @@ class OracleRejection(ValueError):
 
 def _reject_unsupported(f: Formula, program: ProgramUnit | None) -> None:
     for h in f:
-        if isinstance(h, Atom):
-            for t in atom_terms(h):
-                _reject_term(t)
-            if isinstance(h, Call):
-                if program is None or program.procedure(h.name) is None:
-                    raise OracleRejection(f"no definition for procedure {h.name!r}")
-                _reject_unsupported(program.procedure(h.name).body, program)
-        elif isinstance(h, (Or, And)):
-            _reject_unsupported(h.left, program)
-            _reject_unsupported(h.right, program)
-        elif isinstance(h, Implies):
-            _reject_unsupported(h.antecedent, program)
-            _reject_unsupported(h.consequent, program)
-        elif isinstance(h, Not):
-            _reject_unsupported(h.body, program)
-        elif isinstance(h, (Exists, Forall)):
+        if isinstance(h, (Exists, Forall)):
             raise OracleRejection("unbounded quantifiers are not supported")
-        elif isinstance(h, (ExistsBounded, ForallBounded)):
-            _reject_term(h.lo)
-            _reject_term(h.hi)
-            _reject_unsupported(h.body, program)
-
-
-def _reject_term(t: Term) -> None:
-    if isinstance(t, App):
-        if t.op in ("div", "mod"):
+        terms, subs, _ = head_parts(h)
+        if any(isinstance(s, App) and s.op in ("div", "mod")
+               for t in terms for s in subterms(t)):
             raise OracleRejection("div/mod are not supported")
-        for a in t.args:
-            _reject_term(a)
-    elif isinstance(t, ArrayRef):
-        for a in t.indices:
-            _reject_term(a)
+        if isinstance(h, Call):
+            proc = None if program is None else program.procedure(h.name)
+            if proc is None:
+                raise OracleRejection(f"no definition for procedure {h.name!r}")
+            subs = (proc.body,)
+        for sub in subs:
+            _reject_unsupported(sub, program)
 
 
 class _Eval:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .formulas import (
     ArrayDecl,
     ArrayRef,
-    Atom,
     App,
     BoolConst,
     Call,
@@ -39,10 +38,12 @@ from .formulas import (
     TrueAtom,
     FalseAtom,
     Var,
-    atom_terms,
     conj,
     concat,
     free_vars,
+    head_parts,
+    subterms,
+    term_args,
 )
 
 SYNTAX = "syntax"
@@ -82,7 +83,7 @@ _PUNCT = ["..", ":=", "->", "<=", ">=", "<>", "(", ")", "[", "]", ",", ";",
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "int" | "ident" | keyword text | punct text | "eof"
+    kind: str  # "number" | "ident" | keyword text | punct text | "eof"
     text: str
     line: int
     col: int
@@ -111,7 +112,7 @@ def tokenize(source: str) -> list[Token]:
             j = i
             while j < n and source[j].isdigit():
                 j += 1
-            tokens.append(Token("int", source[i:j], line, col))
+            tokens.append(Token("number", source[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -137,7 +138,12 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-_MAX_NESTING = 200
+# Every walk over formulas and terms recurses once per level, some through
+# several frames, so inputs nest at most this deep: as written (NOT, bodies,
+# parentheses, indices; counted while parsing) and as built (checked after
+# parsing by _check_depth, where a + b + c nests one sum in the other).
+_MAX_NESTING = 150
+_TOO_DEEP = "nesting too deep"
 
 
 class _Parser:
@@ -185,7 +191,7 @@ class _Parser:
         if self.at("array"):
             raise self.fail("array declarations must precede procedure definitions")
         query_tok = self.take("query")
-        query = self.formula()
+        query = self.statement(query_tok)
         self.take(";")
         self.take("eof")
         return arrays, procs, query, query_tok
@@ -211,7 +217,7 @@ class _Parser:
 
     def signed_int(self) -> int:
         neg = self.accept("-") is not None
-        t = self.take("int")
+        t = self.take("number")
         v = int(t.text)
         return -v if neg else v
 
@@ -233,7 +239,7 @@ class _Parser:
                 params.append(self.param())
         self.take(")")
         self.take(":=")
-        body = self.formula()
+        body = self.statement(name)
         self.take(";")
         return ProcedureDef(name.text, tuple(params), body), name
 
@@ -247,14 +253,26 @@ class _Parser:
     def nest(self) -> None:
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise self.fail("nesting too deep")
+            raise self.fail(_TOO_DEEP)
+
+    def statement(self, where: Token) -> Formula:
+        """A definition body or the query, checked by _check_depth.  Each
+        level of nesting takes a token of its own, so a formula of at most
+        _MAX_NESTING tokens is not walked."""
+        start = self.pos
+        f = self.formula()
+        if self.pos - start > _MAX_NESTING:
+            _check_depth(f, where)
+        return f
 
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.accept("->"):
-            right = self.formula()  # right associative
-            return conj(Implies(left, right))
-        return left
+        parts = [self.disjunction()]
+        while self.accept("->"):
+            parts.append(self.disjunction())
+        f = parts.pop()
+        for part in reversed(parts):  # right associative
+            f = conj(Implies(part, f))
+        return f
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
@@ -278,34 +296,31 @@ class _Parser:
     def unary(self) -> Formula:
         self.nest()
         try:
-            return self._unary()
+            if self.accept("NOT"):
+                return conj(Not(self.unary()))
+            if self.at("EXISTS") or self.at("FORALL"):
+                kw = self.take(self.peek().kind)
+                name = self.binder_name()
+                sort = self.scalar_sort() if self.accept(":") else Scalar.INT
+                self.take(".")
+                body = self.formula()
+                cls = Exists if kw.kind == "EXISTS" else Forall
+                return conj(cls(name, sort, body))
+            if self.at("SOME") or self.at("FOR"):
+                kw = self.take(self.peek().kind)
+                name = self.binder_name()
+                self.take(":=")
+                lo = self.term()
+                self.take("TO")
+                hi = self.term()
+                self.take("DO")
+                body = self.formula()
+                self.take("END")
+                cls = ExistsBounded if kw.kind == "SOME" else ForallBounded
+                return conj(cls(name, lo, hi, body))
+            return self.primary()
         finally:
             self.depth -= 1
-
-    def _unary(self) -> Formula:
-        if self.accept("NOT"):
-            return conj(Not(self.unary()))
-        if self.at("EXISTS") or self.at("FORALL"):
-            kw = self.take(self.peek().kind)
-            name = self.binder_name()
-            sort = self.scalar_sort() if self.accept(":") else Scalar.INT
-            self.take(".")
-            body = self.formula()
-            cls = Exists if kw.kind == "EXISTS" else Forall
-            return conj(cls(name, sort, body))
-        if self.at("SOME") or self.at("FOR"):
-            kw = self.take(self.peek().kind)
-            name = self.binder_name()
-            self.take(":=")
-            lo = self.term()
-            self.take("TO")
-            hi = self.term()
-            self.take("DO")
-            body = self.formula()
-            self.take("END")
-            cls = ExistsBounded if kw.kind == "SOME" else ForallBounded
-            return conj(cls(name, lo, hi, body))
-        return self.primary()
 
     def binder_name(self) -> str:
         t = self.take("ident")
@@ -323,8 +338,9 @@ class _Parser:
             if op in ("<", "<=", ">", ">=", "<>"):
                 self.take(op)
                 return conj(Rel(op, lhs, self.term()))
-        except Diagnostic:
-            pass
+        except Diagnostic as diag:
+            if diag.message == _TOO_DEEP:
+                raise
         self.pos = mark
         if self.at("TRUE"):
             self.take("TRUE")
@@ -373,10 +389,10 @@ class _Parser:
         return t
 
     def factor(self) -> Term:
-        if self.at("int"):
-            return IntConst(int(self.take("int").text))
+        if self.at("number"):
+            return IntConst(int(self.take("number").text))
         if self.accept("-"):
-            t = self.take("int")
+            t = self.take("number")
             return IntConst(-int(t.text))
         if self.at("TRUE"):
             self.take("TRUE")
@@ -406,41 +422,32 @@ class _Parser:
 # Semantic checks
 
 
-def _called_names(f: Formula, out: set[str]) -> None:
-    def walk_term(t: Term) -> None:
-        if isinstance(t, _CallTerm):
-            out.add(t.name)
-            for a in t.args:
-                walk_term(a)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk_term(a)
-        elif isinstance(t, ArrayRef):
-            for a in t.indices:
-                walk_term(a)
+def _check_depth(f: Formula, where: Token) -> None:
+    """Reject f if it nests deeper than _MAX_NESTING, counting one level for
+    each head or term inside another and three for FORALL, which
+    normalization turns into NOT EXISTS NOT."""
+    todo: list[tuple[Formula | Term, int]] = [(f, 0)]
+    while todo:
+        x, depth = todo.pop()
+        if depth > _MAX_NESTING:
+            raise Diagnostic(SYNTAX, _TOO_DEEP, where.line, where.col)
+        if not isinstance(x, Formula):
+            todo += ((t, depth + 1) for t in term_args(x))
+            continue
+        for h in x:
+            terms, subs, _ = head_parts(h)
+            inner = depth + (3 if isinstance(h, Forall) else 1)
+            todo += ((part, inner) for part in (*terms, *subs))
 
+
+def _called_names(f: Formula, out: set[str]) -> None:
     for h in f:
         if isinstance(h, Call):
             out.add(h.name)
-            for a in h.args:
-                walk_term(a)
-        elif isinstance(h, Atom):
-            for t in atom_terms(h):
-                walk_term(t)
-        elif isinstance(h, (Or, Implies)):
-            left, right = (
-                (h.left, h.right) if isinstance(h, Or) else (h.antecedent, h.consequent)
-            )
-            _called_names(left, out)
-            _called_names(right, out)
-        elif isinstance(h, Not):
-            _called_names(h.body, out)
-        elif isinstance(h, (Exists, Forall)):
-            _called_names(h.body, out)
-        elif isinstance(h, (ExistsBounded, ForallBounded)):
-            walk_term(h.lo)
-            walk_term(h.hi)
-            _called_names(h.body, out)
+        terms, subs, _ = head_parts(h)
+        out.update(s.name for t in terms for s in subterms(t) if isinstance(s, _CallTerm))
+        for sub in subs:
+            _called_names(sub, out)
 
 
 def _check_acyclic(procs: list[tuple[ProcedureDef, Token]]) -> list[str]:
@@ -523,14 +530,9 @@ class _SortChecker:
                     self.err(SORT, f"argument {pname!r} of {h.name!r} needs {psort}, got {got}")
         elif isinstance(h, (TrueAtom, FalseAtom)):
             pass
-        elif isinstance(h, (Or, Implies)):
-            left, right = (
-                (h.left, h.right) if isinstance(h, Or) else (h.antecedent, h.consequent)
-            )
-            self.check_formula(left, env, intro)
-            self.check_formula(right, env, intro)
-        elif isinstance(h, Not):
-            self.check_formula(h.body, env, intro)
+        elif isinstance(h, (Or, Implies, Not)):
+            for sub in head_parts(h)[1]:
+                self.check_formula(sub, env, intro)
         elif isinstance(h, (Exists, Forall)):
             self.check_scoped(h.var, h.sort, h.body, env, intro)
         elif isinstance(h, (ExistsBounded, ForallBounded)):

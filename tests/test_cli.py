@@ -1,10 +1,16 @@
+from pathlib import Path
+
 import pytest
 
 from helpers import run_fap
-from fap.cli import format_solution, main, parse_bindings
+from fap.cli import build_parser, engine_config, format_solution, main, parse_bindings
+from fap.engine import EngineConfig, ImplicationMode, NegationMode
 from fap.normalize import load
 from fap.parser import Diagnostic, parse
 from fap.values import Valuation
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -41,15 +47,75 @@ def test_static_error_exits_three(tmp_path):
     assert proc.stdout == ""
 
 
-def test_internal_error_exits_four_on_one_line(tmp_path):
-    # deep enough to overflow the recursive sort checker
-    deep = tmp_path / "deep.fap"
-    deep.write_text("query x = " + " + ".join(["1"] * 3000) + ";\n")
-    proc = run_cli("run", str(deep))
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("internal error: RecursionError")
-    assert proc.stderr.count("\n") == 1
+def test_internal_error_exits_four_on_one_line(monkeypatch, capsys):
+    # deep input used to overflow the recursive sort checker; it is now a
+    # static error (test_deepest_accepted_input_runs_and_one_deeper_exits_three),
+    # so the engine is made to crash instead
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("fap.cli.solve", crash)
+    assert main(["run", str(ROOT / "corpus" / "formula1.fap")]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+    assert err.count("\n") == 1
+
+
+# (name, source nesting n levels deep, extra flags): formulas as written,
+# parenthesized, and chains that only nest once built
+DEEP = [
+    ("sum", lambda n: "query x = " + " + ".join(["1"] * n) + ";", ()),
+    ("index", lambda n: "array a[1..1] : int; query a[1] = 1 AND x = "
+     + "a[" * n + "1" + "]" * n + ";", ()),
+    ("negations", lambda n: "query x = 1 AND " + "NOT (y = 1 AND " * n + "x = 1"
+     + ")" * n + ";", ()),
+    ("implications", lambda n: "query x = 1 AND " + "(" * n + "x = 1"
+     + " -> x = 1)" * n + ";", ()),
+    ("forall", lambda n: "query " + "".join(f"FORALL i{k} . i{k} = 1 AND " for k in range(n))
+     + "TRUE;", ()),
+    # tracing every node of this one costs seconds; the first few print the
+    # whole formula
+    ("some", lambda n: "query " + "".join(f"SOME i{k} := 1 TO 1 DO " for k in range(n))
+     + "x = i0" + " END" * n + ";", ("--max-steps", "5")),
+]
+
+
+@pytest.mark.parametrize("name,source,flags", DEEP, ids=[d[0] for d in DEEP])
+def test_deepest_accepted_input_runs_and_one_deeper_exits_three(tmp_path, name, source, flags):
+    def accepted(n):
+        try:
+            parse(source(n))
+            return True
+        except Diagnostic:
+            return False
+
+    lo, hi = 1, 1000  # the deepest accepted n, by bisection
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid - 1)
+    assert 40 < lo < 1000
+    deepest = tmp_path / "deepest.fap"
+    deepest.write_text(source(lo))
+    proc = run_cli("run", str(deepest), "--trace", "text", *flags)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    too_deep = tmp_path / "too_deep.fap"
+    too_deep.write_text(source(lo + 1))
+    proc = run_cli("run", str(too_deep), "--trace", "text", *flags)
+    assert proc.returncode == 3
+    assert "syntax error: nesting too deep" in proc.stderr
+
+
+def test_run_and_squares_share_the_search_flags():
+    (subs,) = [a for a in build_parser()._actions if a.dest == "command"]
+    options = {name: {o for a in sub._actions for o in a.option_strings}
+               for name, sub in subs.choices.items()}
+    shared = {"-h", "--help", "--all", "--first", "--impl", "--pedantic", "--max-steps", "--set"}
+    assert options["squares"] == shared
+    assert options["run"] == shared | {"--neg", "--trace"}
+    args = build_parser().parse_args(["squares", "5", "4", "2", "--impl", "negor", "--all"])
+    assert engine_config(args) == EngineConfig(
+        negation=NegationMode.LIBERAL, implication=ImplicationMode.NEG_OR, max_steps=100_000_000)
 
 
 def test_missing_file_exits_three():

@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from helpers import leaf_kinds, static_step_bound, success_sets
@@ -5,6 +8,7 @@ from fap.engine import (
     ATOM_NOT_EVALUABLE,
     EngineConfig,
     Error,
+    ImplicationMode,
     NegationMode,
     STEP_BUDGET,
     Success,
@@ -18,9 +22,11 @@ from fap.engine import (
 from fap.formulas import EMPTY, ProgramUnit
 from fap.normalize import load, load_query, normalize_program
 from fap.oracle import GeneratorConfig, generate
+from fap.squares import squares_program
 from fap.values import EMPTY_VALUATION, Valuation
 
 LIBERAL = EngineConfig(negation=NegationMode.LIBERAL)
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def statuses(src, config=EngineConfig(), initial=EMPTY_VALUATION):
@@ -374,6 +380,27 @@ def test_trace_leaves_match_solve_leaves():
         for config in configs:
             t = trace(pu, config=config)
             assert list(t.leaves()) == list(solve(pu, config=config).leaves)
+    # solve, iter_leaves, trace and eval_subtree_status all read the one
+    # depth-first driver: same leaves and same status in every mode, with
+    # budget cuts at the root's sub-trees, inside them and none
+    inputs = [(path.stem, load(path.read_text(encoding="utf-8")), EMPTY_VALUATION)
+              for path in sorted(CORPUS.glob("*.fap"))]
+    sizes = Valuation(cells={("Sizes", (1,)): 4, ("Sizes", (2,)): 1, ("Sizes", (3,)): 1})
+    squares = load(squares_program(5, 4, 3))
+    inputs += [("squares", squares, EMPTY_VALUATION), ("squares_sized", squares, sizes)]
+    for name, pu, initial in inputs:
+        for neg, impl, pedantic, max_steps in itertools.product(
+            NegationMode, ImplicationMode, (False, True), (7, 60, 400, None)
+        ):
+            if name == "queens8" and max_steps is None:
+                continue  # its whole tree has 222,712 steps
+            config = EngineConfig(negation=neg, implication=impl, pedantic=pedantic,
+                                  max_steps=max_steps)
+            result = solve(pu, initial, config)
+            assert list(iter_leaves(pu, initial, config)) == list(result.leaves), name
+            assert list(trace(pu, initial, config).leaves()) == list(result.leaves), name
+            status, _ = eval_subtree_status(pu, pu.query, initial, config)
+            assert status is result.status, name
 
 
 def test_trace_shape_for_formula1():

@@ -227,6 +227,19 @@ def test_quantifier_scopes_maximally_right():
     assert [type(x).__name__ for x in h.body] == ["Eq", "Rel"]
 
 
+@pytest.mark.parametrize("source", [
+    "query x = int;",
+    "array a[int] : int; query a[1] = 1;",
+    "def p(x : 5) := TRUE; query p(1);",
+    "query EXISTS x : 7 . x = 1;",
+])
+def test_the_sort_keyword_int_is_not_an_integer_literal(source):
+    with pytest.raises(Diagnostic) as info:
+        parse(source)
+    assert info.value.kind == SYNTAX
+    assert info.value.line == 1 and info.value.col > 1
+
+
 def test_deep_nesting_is_a_diagnostic_not_a_crash():
     for source in (
         "query " + "(" * 5000 + "x = 1" + ")" * 5000 + ";",

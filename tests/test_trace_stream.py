@@ -94,6 +94,11 @@ def test_labels_of_generated_programs():
 def test_capture_renames_the_printed_binder():
     text = render(trace(load(CAPTURE)))
     assert "EXISTS y_2 . y_2 = y + 1" in text
+    # the argument is an engine-fresh y$N, which prints as y: the binder is
+    # renamed past its printed name too
+    text = render(trace(load(CALLS)))
+    assert "EXISTS y_2 . y_2 = y" in text
+    assert "EXISTS y . y = y" not in text
 
 
 def stream_and_tree(program, config, opts):
