@@ -23,6 +23,18 @@ caller's argument with the caller's environment applied.  Atoms, bounds,
 closedness and witness checks read variables through it, so entering a
 quantifier or a procedure costs one small dict, not a copy of the body.
 
+Nor is the text walked again at every step.  The program's compiled form
+(ProgramUnit.code, a values.Code) holds one closure per atom and per bound
+the search has reached, one closedness check per negation operand and
+antecedent (the binders inside the operand are known when it is compiled),
+the argument resolvers of each call and each implication's rewrite per
+mode, each built the first time the search reaches it and reused by every
+later search of the program.  Atoms are still classified through
+classify_atom and bounds evaluated through try_eval_term, the names the
+benchmark's spans wrap.  The terms environments hold are built at run time
+and are never compiled: a chain of calls can make them arbitrarily deep, so
+they are evaluated and checked with explicit stacks.
+
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
 an immutable Valuation snapshot, so solve/trace stay pure functions of
@@ -50,8 +62,6 @@ from typing import Iterator
 
 from .formulas import (
     And,
-    App,
-    ArrayRef,
     Atom,
     Call,
     Cons,
@@ -70,14 +80,13 @@ from .formulas import (
     ProgramUnit,
     Rel,
     Scalar,
-    Term,
     TrueAtom,
     Var,
-    atom_terms,
-    concat,
+    conj,
     free_vars,
+    head_parts,
     subst_head,
-    term_vars,
+    subterms,
 )
 from .normalize import FreshNames
 from .values import (
@@ -86,6 +95,7 @@ from .values import (
     CLOSED_FALSE,
     CLOSED_TRUE,
     Cell,
+    Code,
     EMPTY_ENV,
     EMPTY_VALUATION,
     Env,
@@ -93,7 +103,8 @@ from .values import (
     Valuation,
     Value,
     classify_atom,
-    resolve_term,
+    closed_checks,
+    compile_resolver,
     try_eval_term,
 )
 
@@ -191,8 +202,8 @@ class Goal:
 
 
 def goal(f: Formula, env: Env, next: Goal | None) -> Goal | None:
-    """f under env, then next.  An empty f adds nothing, just as
-    concat(EMPTY, tail) is tail, so no step is spent on it."""
+    """f under env, then next.  An empty f adds nothing, so no step is
+    spent on it."""
     return Goal(f, env, next) if type(f) is Cons else next
 
 
@@ -335,7 +346,7 @@ Expansion = tuple[str, "tuple[Goal | None, ...] | Leaf | object"]
 class _Search:
     def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation):
         self.cfg = config
-        self.arrays = Arrays(program.arrays)
+        self.code = program.code
         self.procedures = {p.name: p for p in program.procedures}
         self.fresh = FreshNames(program.fresh_base)
         self.steps = 0
@@ -403,12 +414,12 @@ class _Search:
         return rule(self, head, g.env, rest)
 
     def _expand_atom(self, head: Atom, env: Env, rest: Goal | None) -> Expansion:
-        cls = classify_atom(head, self.state, self.arrays, env)
+        cls = classify_atom(head, self.state, self.code, env)
         if cls is CLOSED_TRUE:
             return "atom", (rest,)
         if cls is CLOSED_FALSE:
             return "atom", FAIL
-        if isinstance(cls, Assignment):
+        if type(cls) is Assignment:
             if type(cls.target) is str:
                 self.state.push_scalar(cls.target, cls.value)
             else:
@@ -428,13 +439,17 @@ class _Search:
         return "exists", (goal(head.body, inner, rest),)
 
     def _expand_call(self, head: Call, env: Env, rest: Goal | None) -> Expansion:
+        params, args, body = self.code.part(("call", id(head)), head, lambda: self._call(head))
+        callee = {name: arg(env) for name, arg in zip(params, args)}
+        return "procedure-unfold", (goal(body, callee, rest),)
+
+    def _call(self, head: Call) -> tuple:
+        """(parameter names, argument resolvers, body) of a call."""
         proc = self.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
-        callee = {
-            name: resolve_term(arg, env) for (name, _), arg in zip(proc.params, head.args)
-        }
-        return "procedure-unfold", (goal(proc.body, callee, rest),)
+        params = tuple(name for name, _ in proc.params)
+        return params, tuple(compile_resolver(arg) for arg in head.args), proc.body
 
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
         closed = self.formula_closed(head.body, env)
@@ -454,17 +469,8 @@ class _Search:
         mode = self.cfg.implication
         if mode is ImplicationMode.STRICT:
             return self._implies_strict(head, env, rest)
-        neg_branch = Cons(Not(head.antecedent), EMPTY)
-        if mode is ImplicationMode.NEG_OR:
-            rewritten = Or(neg_branch, head.consequent)
-        elif mode is ImplicationMode.GUARDED:
-            rewritten = Or(neg_branch, concat(head.antecedent, head.consequent))
-        else:  # COMBINED
-            rewritten = Or(
-                neg_branch,
-                Cons(Or(head.consequent, concat(head.antecedent, head.consequent)), EMPTY),
-            )
-        return "implication-rewrite", (Goal(Cons(rewritten, EMPTY), env, rest),)
+        rewritten = self.code.part(("rewrite", id(head), mode), head, lambda: _rewrite(head, mode))
+        return "implication-rewrite", (Goal(rewritten, env, rest),)
 
     def _implies_strict(self, head: Implies, env: Env, rest: Goal | None) -> Expansion:
         if self.cfg.pedantic and not self.formula_closed(head.antecedent, env):
@@ -484,8 +490,8 @@ class _Search:
         exists = isinstance(head, ExistsBounded)
         tag = "bounded-exists" if exists else "bounded-forall"
         try:
-            lo = try_eval_term(head.lo, self.state, self.arrays, env)
-            hi = try_eval_term(head.hi, self.state, self.arrays, env)
+            lo = try_eval_term(head.lo, self.state, self.code, env)
+            hi = try_eval_term(head.hi, self.state, self.code, env)
         except EvalFault:
             return tag, Error(EVALUATION_FAULT)
         if lo is None or hi is None:
@@ -536,12 +542,13 @@ class _Search:
                 return False
             if free is None:
                 free = set()
-                for name in free_vars(operand):
+                names = self.code.part(("free", id(operand)), operand, lambda: free_vars(operand))
+                for name in names:
                     bound = env.get(name)
                     if bound is None:
                         free.add(name)
                     else:
-                        free.update(v.name for v in term_vars(bound))
+                        free.update(t.name for t in subterms(bound) if type(t) is Var)
             if key in free:
                 return False
         return True
@@ -553,78 +560,67 @@ class _Search:
         bound cell.  References whose indices depend on quantified variables
         cannot be resolved statically and count as not closed.
 
-        The walk keeps its own stack of (formula, bound, env), so a deep chain
-        of calls does not recurse.  `bound` holds the binders met inside the
-        operand; `env` resolves the names bound outside it, less any that an
-        inner binder shadows.  Heads are checked in the order they are
-        written, sub-formulas before the heads after them."""
-        closed_term = self._closed_term
+        Each formula is checked by its compiled check (_closed), met with
+        the binders seen on the way to it.  A call's body is checked under
+        the callee's environment, from a stack of its own, so a deep chain
+        of calls does not recurse."""
+        code = self.code
+        scalars, cells = self.state.scalars, self.state.cells
         todo = [(f, frozenset(), env)]
         while todo:
             f, bound, env = todo.pop()
-            if type(f) is not Cons:
-                continue
-            todo.append((f.tail, bound, env))
-            h = f.head
-            if isinstance(h, Call):
-                proc = self.procedures.get(h.name)
-                if proc is None or not all(closed_term(t, bound, env) for t in h.args):
+            checks, calls = code.part(
+                ("closed", id(f), bound), f, lambda: _closed(f, bound, code.arrays)
+            )
+            for check in checks:
+                if not check(env, scalars, cells):
                     return False
-                callee = {
-                    name: resolve_term(arg, env) for (name, _), arg in zip(proc.params, h.args)
-                }
-                todo.append((proc.body, bound, callee))
-            elif isinstance(h, Atom):
-                if not all(closed_term(t, bound, env) for t in atom_terms(h)):
+            for name, args, inner in calls:
+                proc = self.procedures.get(name)
+                if proc is None:
                     return False
-            elif isinstance(h, (Or, And)):
-                todo += ((h.right, bound, env), (h.left, bound, env))
-            elif isinstance(h, Implies):
-                todo += ((h.consequent, bound, env), (h.antecedent, bound, env))
-            elif isinstance(h, Not):
-                todo.append((h.body, bound, env))
-            elif isinstance(h, (Exists, Forall)):
-                todo.append((h.body, bound | {h.var}, _shadow(env, h.var)))
-            elif isinstance(h, (ExistsBounded, ForallBounded)):
-                if not (closed_term(h.lo, bound, env) and closed_term(h.hi, bound, env)):
-                    return False
-                todo.append((h.body, bound | {h.var}, _shadow(env, h.var)))
-            else:
-                raise TypeError(f"unknown head {h!r}")
+                callee = {p: arg(env) for (p, _), arg in zip(proc.params, args)}
+                todo.append((proc.body, inner, callee))
         return True
 
-    def _closed_term(self, t: Term, bound: frozenset[str], env: Env) -> bool:
-        if isinstance(t, Var):
-            resolved = env.get(t.name)
-            if resolved is not None:
-                return self._closed_term(resolved, bound, EMPTY_ENV)
-            return t.name in self.state.scalars or t.name in bound
-        if isinstance(t, App):
-            return all(self._closed_term(x, bound, env) for x in t.args)
-        if isinstance(t, ArrayRef):
-            indices = tuple(resolve_term(i, env) for i in t.indices)
-            for i in indices:
-                for v in term_vars(i):
-                    if v.name not in self.state.scalars:
-                        return False
-            try:
-                cell_idx = tuple(
-                    try_eval_term(i, self.state, self.arrays) for i in indices
-                )
-            except EvalFault:
-                return False
-            if None in cell_idx:  # an index reads an unbound cell
-                return False
-            decl = self.arrays.decl(t.array)
-            if not decl.in_range(cell_idx):
-                return False
-            return (t.array, cell_idx) in self.state.cells
-        return True  # constants
+
+def _closed(f: Formula, bound: frozenset[str], arrays: Arrays) -> tuple[tuple, tuple]:
+    """The closedness check of f, met with the binders `bound`: the checks
+    of its terms, each term checked once, in written order, and its calls,
+    each as (procedure name, argument resolvers, binders met at the call).
+    A name bound inside f is not in the environment f is checked under."""
+    checks, calls, seen = [], [], set()
+    todo = [(f, frozenset())]  # (formula, the binders met inside f)
+    while todo:
+        f, local = todo.pop()
+        if type(f) is not Cons:
+            continue
+        todo.append((f.tail, local))
+        h = f.head
+        terms, subs, var = head_parts(h)
+        for t in terms:
+            for part, check in closed_checks(t, arrays, bound | local, local):
+                if (part, local) not in seen:
+                    seen.add((part, local))
+                    checks.append(check)
+        if type(h) is Call:
+            args = tuple(compile_resolver(arg, local) for arg in h.args)
+            calls.append((h.name, args, bound | local))
+        inner = local if var is None else local | {var}
+        todo += ((sub, inner) for sub in reversed(subs))
+    return tuple(checks), tuple(calls)
 
 
-def _shadow(env: Env, var: str) -> Env:
-    """env inside a binder of var."""
-    return {k: v for k, v in env.items() if k != var} if var in env else env
+def _rewrite(head: Implies, mode: ImplicationMode) -> Cons:
+    """The disjunction an implication a -> b runs as under a rewriting mode:
+    NOT a OR b, NOT a OR (a AND b), or NOT a OR (b OR (a AND b))."""
+    neg_branch = conj(Not(head.antecedent))
+    if mode is ImplicationMode.NEG_OR:
+        return conj(Or(neg_branch, head.consequent))
+    guarded = conj(*head.antecedent, *head.consequent)
+    if mode is ImplicationMode.GUARDED:
+        return conj(Or(neg_branch, guarded))
+    return conj(Or(neg_branch, conj(Or(head.consequent, guarded))))
 
 
 # The expansion rule of each head type.
@@ -656,7 +652,7 @@ def _start(
         raise ValueError("program must be normalized before execution")
     search = _Search(program, config, initial)
     if check:
-        _check_initial(program, initial, search.arrays)
+        _check_initial(program, initial, search.code.arrays)
     return search
 
 
@@ -717,8 +713,10 @@ def eval_subtree_status(
     config: EngineConfig = EngineConfig(),
 ) -> tuple[TreeStatus, Valuation | None]:
     """Status of the tree of (f, a): SUCCESSFUL with the first success leaf as
-    witness, FAILED only after exhaustive exploration, else UNDETERMINED."""
+    witness, FAILED only after exhaustive exploration, else UNDETERMINED.
+    f need not be part of the program, so it runs on code of its own."""
     search = _start(program, a, config, check=False)
+    search.code = Code(program)
     try:
         status, bindings = search.subtree_status(goal(f, EMPTY_ENV, None))
     except _BudgetExceeded:

@@ -4,13 +4,16 @@ Formulas are kept in program form: every formula is a right-associated
 conjunction list terminated by the empty conjunction, and each conjunct is an
 atom, a connective over sub-formulas, or a quantifier.  The module also holds
 term/formula substitution, free-variable collection and the pretty printer
-used for .fap round trips.
+used for .fap round trips.  Nodes keep their fields in slots, without a dict
+each: a program is held with its compiled form (ProgramUnit.code), and test
+and benchmark corpora hold thousands of programs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Mapping
 
 
@@ -22,7 +25,7 @@ class Scalar(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArraySort:
     """Sort of an array symbol: index arity plus scalar element sort."""
 
@@ -49,26 +52,26 @@ RELATIONS = ("<", "<=", ">", ">=", "<>")
 
 
 class Term:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntConst(Term):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolConst(Term):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     sort: Scalar = Scalar.INT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     """Application of one of the fixed integer functions: + - * div mod."""
 
@@ -82,7 +85,7 @@ class App(Term):
             raise ValueError(f"{self.op} expects 2 arguments")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayRef(Term):
     array: str
     indices: tuple[Term, ...]
@@ -95,18 +98,20 @@ class ArrayRef(Term):
 class Head:
     """A single conjunct of a program-form formula."""
 
+    __slots__ = ()
+
 
 class Atom(Head):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq(Atom):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel(Atom):
     op: str
     lhs: Term
@@ -117,18 +122,18 @@ class Rel(Atom):
             raise ValueError(f"unknown relation symbol {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(Atom):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueAtom(Atom):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseAtom(Atom):
     pass
 
@@ -142,6 +147,8 @@ FALSE = FalseAtom()
 
 
 class Formula:
+    __slots__ = ()
+
     def __iter__(self) -> Iterator[Head]:
         f = self
         while isinstance(f, Cons):
@@ -152,12 +159,12 @@ class Formula:
         return isinstance(self, Empty)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cons(Formula):
     head: Head
     tail: Formula
@@ -184,37 +191,37 @@ def concat(a: Formula, b: Formula) -> Formula:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Head):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Head):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Head):
     antecedent: Formula
     consequent: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Head):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Head):
     var: str
     sort: Scalar
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Head):
     """Unbounded universal quantifier; surface-only, removed by normalization."""
 
@@ -223,7 +230,7 @@ class Forall(Head):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsBounded(Head):
     var: str
     lo: Term
@@ -231,7 +238,7 @@ class ExistsBounded(Head):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForallBounded(Head):
     var: str
     lo: Term
@@ -243,7 +250,7 @@ class ForallBounded(Head):
 # Declarations and program units
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayDecl:
     name: str
     ranges: tuple[tuple[int, int], ...]
@@ -259,7 +266,7 @@ class ArrayDecl:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcedureDef:
     name: str
     params: tuple[tuple[str, Scalar], ...]
@@ -290,6 +297,20 @@ class ProgramUnit:
     def free_var_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.free_vars)
 
+    @cached_property
+    def code(self):
+        """The compiled form of this program (a values.Code), filled in as
+        the engine's searches first reach each part and shared by all of
+        them."""
+        from .values import Code
+
+        return Code(self)
+
+    def __getstate__(self) -> dict:
+        # the compiled form holds closures, which do not pickle; a copy
+        # compiles its own
+        return {k: v for k, v in self.__dict__.items() if k != "code"}
+
 
 # ---------------------------------------------------------------------------
 # Traversals
@@ -304,14 +325,6 @@ def term_vars(t: Term) -> Iterator[Var]:
     elif isinstance(t, ArrayRef):
         for a in t.indices:
             yield from term_vars(a)
-
-
-def atom_terms(a: Atom) -> tuple[Term, ...]:
-    if isinstance(a, (Eq, Rel)):
-        return (a.lhs, a.rhs)
-    if isinstance(a, Call):
-        return a.args
-    return ()
 
 
 def head_parts(h: Head) -> tuple[tuple[Term, ...], tuple[Formula, ...], str | None]:

@@ -3,9 +3,11 @@
 The oracle evaluates formulas classically (truth by structural recursion,
 satisfiability by enumerating free-variable groundings over a finite integer
 domain) with no notion of evaluation order, bindings or errors, so it is an
-independent reference for the engine.  It deliberately rejects div/mod and
-unbounded quantifiers; the generator never emits them, which keeps the oracle
-total and the enumeration exact.
+independent reference for the engine.  It deliberately rejects div/mod and,
+unless the domain says otherwise, unbounded quantifiers; the generator never
+emits div/mod, and emits EXISTS and FORALL only in a profile that keeps every
+witness inside the domain, which keeps the oracle total and the enumeration
+exact.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 from .formulas import (
     And,
+    ArrayDecl,
     App,
     ArrayRef,
     Atom,
@@ -57,6 +60,10 @@ class FiniteDomain:
 
     lo: int = 0
     hi: int = 4
+    # EXISTS and FORALL range over the domain too.  Exact only for programs
+    # whose every witness lies in it, as GeneratorConfig's
+    # arrays_and_quantifiers profile keeps them.
+    quantifiers: bool = False
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -74,9 +81,9 @@ class OracleRejection(ValueError):
     quantifiers, or an unfoldable call)."""
 
 
-def _reject_unsupported(f: Formula, program: ProgramUnit | None) -> None:
+def _reject_unsupported(f: Formula, program: ProgramUnit | None, d: FiniteDomain) -> None:
     for h in f:
-        if isinstance(h, (Exists, Forall)):
+        if isinstance(h, (Exists, Forall)) and not d.quantifiers:
             raise OracleRejection("unbounded quantifiers are not supported")
         terms, subs, _ = head_parts(h)
         if any(isinstance(s, App) and s.op in ("div", "mod")
@@ -88,13 +95,14 @@ def _reject_unsupported(f: Formula, program: ProgramUnit | None) -> None:
                 raise OracleRejection(f"no definition for procedure {h.name!r}")
             subs = (proc.body,)
         for sub in subs:
-            _reject_unsupported(sub, program)
+            _reject_unsupported(sub, program, d)
 
 
 class _Eval:
-    def __init__(self, a: Valuation, program: ProgramUnit | None):
+    def __init__(self, a: Valuation, program: ProgramUnit | None, d: FiniteDomain):
         self.cells = a.cells
         self.program = program
+        self.d = d
 
     def truth(self, f: Formula, env: dict[str, Value]) -> bool:
         return all(self.head(h, env) for h in f)
@@ -121,6 +129,10 @@ class _Eval:
             return (not self.truth(h.antecedent, env)) or self.truth(h.consequent, env)
         if isinstance(h, Not):
             return not self.truth(h.body, env)
+        if isinstance(h, (Exists, Forall)):
+            values = (False, True) if h.sort is Scalar.BOOL else self.d.values()
+            eachs = (self.truth(h.body, {**env, h.var: v}) for v in values)
+            return any(eachs) if isinstance(h, Exists) else all(eachs)
         if isinstance(h, (ExistsBounded, ForallBounded)):
             lo = self.term(h.lo, env)
             hi = self.term(h.hi, env)
@@ -165,8 +177,8 @@ def oracle_truth(
     """Classical truth of f under a.  Every free variable and referenced array
     cell must be grounded by a (the satisfiable/valid wrappers enumerate the
     rest); total otherwise."""
-    _reject_unsupported(f, program)
-    return _Eval(a, program).truth(f, dict(a.scalars))
+    _reject_unsupported(f, program, d)
+    return _Eval(a, program, d).truth(f, dict(a.scalars))
 
 
 def _groundings(
@@ -213,10 +225,10 @@ def oracle_satisfiable(
     """Existential closure of f over d: true iff some grounding of the unbound
     free variables (and open cells of mentioned arrays) satisfies f; returns
     all witnesses."""
-    _reject_unsupported(f, program)
+    _reject_unsupported(f, program, d)
     witnesses = []
     for g in _groundings(f, a, d, program):
-        if _Eval(g, program).truth(f, dict(g.scalars)):
+        if _Eval(g, program, d).truth(f, dict(g.scalars)):
             witnesses.append(g)
     return bool(witnesses), tuple(witnesses)
 
@@ -228,9 +240,9 @@ def oracle_valid(
     program: ProgramUnit | None = None,
 ) -> bool:
     """Universal closure of f over d: every grounding satisfies f."""
-    _reject_unsupported(f, program)
+    _reject_unsupported(f, program, d)
     return all(
-        _Eval(g, program).truth(f, dict(g.scalars))
+        _Eval(g, program, d).truth(f, dict(g.scalars))
         for g in _groundings(f, a, d, program)
     )
 
@@ -265,6 +277,16 @@ class GeneratorConfig:
     )
     allow_procedures: bool = True
     free_var_pool: tuple[str, ...] = ("x", "y", "z")
+    # Also emit one array `a` indexed over the domain, cells read and
+    # assigned in the query, and EXISTS and FORALL.  Every index, cell value
+    # and witness stays inside the domain, so the oracle can check these
+    # programs with FiniteDomain(quantifiers=True) over it.  Off, the
+    # generator draws exactly what it always drew.
+    arrays_and_quantifiers: bool = False
+
+
+_PROFILE_ATOMS = (("cell_assign", 20),)
+_PROFILE_CONNECTIVES = (("exists", 8), ("forall", 5))
 
 
 class _Gen:
@@ -274,6 +296,12 @@ class _Gen:
         self.d = cfg.domain
         self.quant_count = 0
         self.procs: list[ProcedureDef] = []
+        self.profile = cfg.arrays_and_quantifiers
+        self.in_procedure = False
+        self.atom_weights = cfg.atom_weights + (_PROFILE_ATOMS if self.profile else ())
+        self.connective_weights = cfg.connective_weights + (
+            _PROFILE_CONNECTIVES if self.profile else ()
+        )
 
     def pick(self, weights: tuple[tuple[str, int], ...]) -> str:
         names = [n for n, _ in weights]
@@ -292,8 +320,18 @@ class _Gen:
             return self.var_of(scope)
         return self.const()
 
+    def cells_allowed(self) -> bool:
+        # the oracle grounds the cells the query mentions, so procedure
+        # bodies stay array-free
+        return self.profile and not self.in_procedure
+
+    def cell(self, scope: list[str]) -> ArrayRef:
+        return ArrayRef("a", (self.source_term(scope),))
+
     def arith(self, scope: list[str], depth: int = 1) -> Term:
         if depth <= 0 or self.rng.random() < 0.45:
+            if self.cells_allowed() and self.rng.random() < 0.25:
+                return self.cell(scope)
             if scope and self.rng.random() < 0.5:
                 return self.var_of(scope)
             return self.const()
@@ -304,7 +342,10 @@ class _Gen:
         return self.arith([], depth)
 
     def atom(self, scope: list[str]) -> Atom:
-        kind = self.pick(self.cfg.atom_weights)
+        kind = self.pick(self.atom_weights)
+        if kind == "cell_assign" and self.cells_allowed():
+            target, source = self.cell(scope), self.source_term(scope)
+            return Eq(target, source) if self.rng.random() < 0.5 else Eq(source, target)
         if kind == "assign" and scope:
             target = self.var_of(scope)
             source = self.source_term([v for v in scope if v != target.name])
@@ -328,7 +369,7 @@ class _Gen:
         return conj(*(self.head(depth, scope) for _ in range(n)))
 
     def head(self, depth: int, scope: list[str]) -> Head:
-        kind = self.pick(self.cfg.connective_weights) if depth > 1 else "atom"
+        kind = self.pick(self.connective_weights) if depth > 1 else "atom"
         if kind == "or":
             return Or(self.formula(depth - 1, scope), self.formula(depth - 1, scope))
         if kind == "not":
@@ -337,6 +378,11 @@ class _Gen:
             return Implies(
                 self.formula(depth - 1, scope), self.formula(depth - 1, scope)
             )
+        if kind in ("exists", "forall"):
+            self.quant_count += 1
+            var = f"e{self.quant_count}"
+            body = self.formula(depth - 1, scope + [var])
+            return (Exists if kind == "exists" else Forall)(var, Scalar.INT, body)
         if kind in ("some", "for"):
             self.quant_count += 1
             var = f"q{self.quant_count}"
@@ -368,7 +414,9 @@ class _Gen:
             (f"p{index}{chr(ord('a') + i)}", Scalar.INT)
             for i in range(self.rng.randint(1, 2))
         )
+        self.in_procedure = True
         body = self.formula(min(2, self.cfg.max_depth), [n for n, _ in params])
+        self.in_procedure = False
         return ProcedureDef(f"proc{index}", params, body)
 
     def program(self) -> ProgramUnit:
@@ -381,8 +429,9 @@ class _Gen:
         )
         query = self.formula(depth, pool)
         order = free_vars(query)
+        d = self.d
         return ProgramUnit(
-            arrays=(),
+            arrays=(ArrayDecl("a", ((d.lo, d.hi),), Scalar.INT),) if self.profile else (),
             procedures=tuple(self.procs),
             query=query,
             free_vars=tuple((n, Scalar.INT) for n in order),

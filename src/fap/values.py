@@ -1,4 +1,4 @@
-"""Valuations, term evaluation and atom classification.
+"""Valuations, compiled terms and atoms, and atom classification.
 
 A valuation is an immutable finite map from scalar variables and array cells
 to domain values; extending it yields a new valuation and is the only way
@@ -11,12 +11,25 @@ Terms are evaluated under an environment (`Env`) as well as a valuation: the
 engine runs quantifier and procedure bodies as written and resolves their
 binders and parameters through the environment, which maps each such name
 to a term that no longer mentions any of them.
+
+The text of a program never changes while it runs, so its terms and atoms
+are compiled, each into one closure `(env, scalars, cells) -> value | _OPEN`
+(an atom's closure returns its class), in the manner of Feeley and Lapalme,
+"Using closures for code generation" (Computer Languages 12(1), 1987):
+constants are folded, and array references read their declared ranges from
+the closure instead of the declaration.  `Code` is the compiled form of one
+program unit, built part by part the first time a search reaches each part;
+the unit owns it (`ProgramUnit.code`), so every search of the program reuses
+it.  The terms an environment maps names to are built at run time, and are
+evaluated by `value_of`, which walks them with an explicit stack however deep
+a chain of calls made them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .formulas import (
     App,
@@ -28,6 +41,7 @@ from .formulas import (
     Eq,
     FalseAtom,
     IntConst,
+    ProgramUnit,
     Rel,
     Term,
     TrueAtom,
@@ -130,135 +144,43 @@ def format_valuation(a: Valuation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Term status: one traversal decides closedness, value, or fault.
+# Term values.  A term's value is an int or bool, _OPEN while it reads an
+# unbound variable or cell, or an EvalFault for div/mod by zero and for a
+# closed index outside the declared range.
 
 _OPEN = object()
+_NO_NAMES: frozenset[str] = frozenset()
+
+# (env, scalars, cells) -> value or _OPEN: a compiled term
+TermCode = Callable[[Env, dict, dict], object]
 
 
-class Arrays:
-    """Lookup helper over the declared arrays of a program unit."""
-
-    def __init__(self, decls: Iterable[ArrayDecl] = ()):
-        self.by_name = {d.name: d for d in decls}
-
-    def decl(self, name: str) -> ArrayDecl:
-        return self.by_name[name]
-
-
-NO_ARRAYS = Arrays()
-
-
-def _term_value(t: Term, a: Valuation, arrays: Arrays, env: Env = EMPTY_ENV):
-    """Value of t under env and a, _OPEN if some variable/cell is unbound, or
-    raise EvalFault for div/mod-by-zero and out-of-range cells."""
-    kind = type(t)  # the hottest function of a search: no isinstance calls
-    if kind is Var:
-        bound = env.get(t.name)
-        if bound is not None:
-            return _term_value(bound, a, arrays)
-        return a.scalars.get(t.name, _OPEN)
-    if kind is IntConst or kind is BoolConst:
-        return t.value
-    if kind is App:
-        lhs = _term_value(t.args[0], a, arrays, env)
-        rhs = _term_value(t.args[1], a, arrays, env)
-        if lhs is _OPEN or rhs is _OPEN:
-            return _OPEN
-        return apply_function(t.op, lhs, rhs)
-    if kind is ArrayRef:
-        cell = _cell_of(t, a, arrays, env)
-        if cell is _OPEN:
-            return _OPEN
-        return a.cells.get(cell, _OPEN)
-    raise TypeError(f"unknown term {t!r}")
-
-
-def _cell_of(t: ArrayRef, a: Valuation, arrays: Arrays, env: Env):
-    """Concrete cell referenced by t, or _OPEN when an index is unbound.
-    Closed indices outside the declared range fault."""
-    idx: list[int] = []
-    for i in t.indices:
-        v = _term_value(i, a, arrays, env)
-        if v is _OPEN:
-            return _OPEN
-        idx.append(v)
-    decl = arrays.decl(t.array)
-    if not decl.in_range(tuple(idx)):
-        raise EvalFault(FAULT_RANGE)
-    return (t.array, tuple(idx))
-
-
-def resolve_term(t: Term, env: Env) -> Term:
-    """t with every name that env binds replaced by its term; the result
-    means the same under any environment."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, App):
-        return App(t.op, tuple(resolve_term(x, env) for x in t.args))
-    if isinstance(t, ArrayRef):
-        return ArrayRef(t.array, tuple(resolve_term(x, env) for x in t.indices))
-    return t
-
-
-def apply_function(op: str, lhs: int, rhs: int) -> int:
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
+def _div(lhs: int, rhs: int) -> int:
     if rhs == 0:
         raise EvalFault(FAULT_DIV_ZERO)
-    if op == "div":
-        return lhs // rhs
-    if op == "mod":
-        return lhs % rhs
-    raise ValueError(f"unknown function {op!r}")
+    return lhs // rhs
+
+
+def _mod(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise EvalFault(FAULT_DIV_ZERO)
+    return lhs % rhs
+
+
+_FUNCTIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "div": _div, "mod": _mod}
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+              "<>": operator.ne}
 
 
 def apply_relation(op: str, lhs: int, rhs: int) -> bool:
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    if op == "<>":
-        return lhs != rhs
-    raise ValueError(f"unknown relation {op!r}")
-
-
-def try_eval_term(
-    t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS, env: Env = EMPTY_ENV
-) -> Value | None:
-    """Value of a closed term, None when t is open; raises EvalFault on
-    div/mod-by-zero or an out-of-range cell with closed indices."""
-    v = _term_value(t, a, arrays, env)
-    return None if v is _OPEN else v
-
-
-def is_closed(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> bool:
-    """True iff every variable of t is bound and every array reference has
-    closed indices whose cell is bound.  Faulting terms count as not closed;
-    the fault itself surfaces when the atom is classified or evaluated."""
-    try:
-        return _term_value(t, a, arrays) is not _OPEN
-    except EvalFault:
-        return False
-
-
-def eval_term(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> Value:
-    """Evaluate a closed term; raises EvalFault on partial-function holes."""
-    v = _term_value(t, a, arrays)
-    if v is _OPEN:
-        raise ValueError(f"term is not closed under {a}")
-    return v
+    fn = _RELATIONS.get(op)
+    if fn is None:
+        raise ValueError(f"unknown relation {op!r}")
+    return fn(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
-# Atom classification
+# Atom classes
 
 
 @dataclass(frozen=True)
@@ -286,6 +208,438 @@ AtomClass = ClosedTrue | ClosedFalse | Assignment | NotEvaluable
 
 CLOSED_TRUE = ClosedTrue()
 CLOSED_FALSE = ClosedFalse()
+NOT_EVALUABLE = NotEvaluable()
+
+# (env, scalars, cells) -> AtomClass: a compiled atom
+AtomCode = Callable[[Env, dict, dict], AtomClass]
+
+
+# ---------------------------------------------------------------------------
+# Arrays and compiled code
+
+
+class Arrays:
+    """The declared arrays of a program unit, and the compiler of terms and
+    atoms against them.  Each call compiles afresh; Code keeps what it
+    compiles."""
+
+    def __init__(self, decls: Iterable[ArrayDecl] = ()):
+        self.by_name = {d.name: d for d in decls}
+
+    def decl(self, name: str) -> ArrayDecl:
+        return self.by_name[name]
+
+    def term(self, t: Term) -> TermCode:
+        return compile_term(t, self)
+
+    def atom(self, a: Atom) -> AtomCode:
+        return compile_atom(a, self)
+
+
+NO_ARRAYS = Arrays()
+
+
+class Code:
+    """The compiled form of one program unit, built part by part: a term or
+    atom is compiled the first time it is asked for, and so is each part the
+    engine compiles (closedness checks, implication rewrites, call
+    arguments).  The table is keyed by the identity of program-text nodes
+    and keeps every node it is keyed by alive, so no key is ever reused by
+    another node.  Give it only nodes of the program text: a node built at
+    run time would be compiled on every visit and kept for good.  The
+    compiled code refers to `arrays`, never to the table, so a program and
+    its code are freed together when the program is."""
+
+    __slots__ = ("arrays", "table", "_keep")
+
+    def __init__(self, program: ProgramUnit):
+        self.arrays = Arrays(program.arrays) if program.arrays else NO_ARRAYS
+        # id(term or atom) -> its code; (kind, id(node), ...) -> an engine part
+        self.table: dict = {}
+        self._keep: list = []  # the nodes whose ids key the table
+
+    def term(self, t: Term) -> TermCode:
+        code = self.table.get(id(t))
+        if code is None:
+            code = self.table[id(t)] = compile_term(t, self.arrays)
+            self._keep.append(t)
+        return code
+
+    def atom(self, a: Atom) -> AtomCode:
+        code = self.table.get(id(a))
+        if code is None:
+            code = self.table[id(a)] = compile_atom(a, self.arrays)
+            self._keep.append(a)
+        return code
+
+    def part(self, key: tuple, node: object, build: Callable[[], object]):
+        """What build() returns for node, under key (which holds id(node)),
+        built the first time it is asked for."""
+        hit = self.table.get(key)
+        if hit is None:
+            hit = self.table[key] = build()
+            self._keep.append(node)
+        return hit
+
+
+# ---------------------------------------------------------------------------
+# Compiling terms.  `local` names binders whose instances the environment
+# does not hold (closedness checks see inside binders): those names are read
+# from the valuation directly.
+#
+# A compiled closure takes what it was compiled with as default arguments,
+# not as closure cells, so each compiled part is one function and one tuple:
+# programs are loaded by the thousand and most of their parts run briefly.
+
+
+def _constant(t: Term):
+    """The value of t when it reads no variable or cell and does not fault,
+    else _OPEN."""
+    kind = type(t)
+    if kind is IntConst or kind is BoolConst:
+        return t.value
+    if kind is App:
+        lhs, rhs = _constant(t.args[0]), _constant(t.args[1])
+        if lhs is not _OPEN and rhs is not _OPEN:
+            try:
+                return _FUNCTIONS[t.op](lhs, rhs)
+            except EvalFault:
+                pass
+    return _OPEN
+
+
+def compile_term(t: Term, arrays: Arrays, local: frozenset[str] = _NO_NAMES) -> TermCode:
+    """t as a closure (env, scalars, cells) -> value or _OPEN; it raises
+    EvalFault where t faults."""
+    value = _constant(t)
+    if value is not _OPEN:
+        def const(env, scalars, cells, value=value):
+            return value
+
+        return const
+    kind = type(t)
+    if kind is Var:
+        if t.name in local:
+            def local_var(env, scalars, cells, name=t.name):
+                return scalars.get(name, _OPEN)
+
+            return local_var
+
+        def var(env, scalars, cells, name=t.name, arrays=arrays):
+            bound = env.get(name)
+            if bound is None:
+                return scalars.get(name, _OPEN)
+            if type(bound) is Var:  # a quantifier instance
+                return scalars.get(bound.name, _OPEN)
+            return value_of(bound, scalars, cells, arrays)
+
+        return var
+    if kind is App:
+        return _compile_app(t, arrays, local)
+    if kind is ArrayRef:
+        return _compile_ref(t, arrays, local)
+    raise TypeError(f"unknown term {t!r}")
+
+
+def _compile_app(t: App, arrays: Arrays, local: frozenset[str]) -> TermCode:
+    fn = _FUNCTIONS[t.op]
+    lhs, rhs = t.args
+    k = _constant(rhs)
+    if k is not _OPEN:
+        def app_k(env, scalars, cells, f=compile_term(lhs, arrays, local), k=k, fn=fn):
+            v = f(env, scalars, cells)
+            return _OPEN if v is _OPEN else fn(v, k)
+
+        return app_k
+    g = compile_term(rhs, arrays, local)
+    k = _constant(lhs)
+    if k is not _OPEN:
+        def k_app(env, scalars, cells, g=g, k=k, fn=fn):
+            v = g(env, scalars, cells)
+            return _OPEN if v is _OPEN else fn(k, v)
+
+        return k_app
+
+    def app(env, scalars, cells, f=compile_term(lhs, arrays, local), g=g, fn=fn):
+        a = f(env, scalars, cells)
+        b = g(env, scalars, cells)
+        if a is _OPEN or b is _OPEN:
+            return _OPEN
+        return fn(a, b)
+
+    return app
+
+
+def _ranges(t: ArrayRef, arrays: Arrays) -> tuple:
+    """The declared ranges of t's array when they match its indices."""
+    decl = arrays.by_name.get(t.array)
+    return decl.ranges if decl is not None and len(decl.ranges) == len(t.indices) else ()
+
+
+def _compile_ref(t: ArrayRef, arrays: Arrays, local: frozenset[str]) -> TermCode:
+    """The value of the cell t refers to; references with one or two indices
+    read and range-check them inline."""
+    ranges = _ranges(t, arrays)
+    if len(ranges) == 1 and _constant(t.indices[0]) is _OPEN:
+        def ref1(env, scalars, cells, f=compile_term(t.indices[0], arrays, local),
+                 name=t.array, lo=ranges[0][0], hi=ranges[0][1]):
+            i = f(env, scalars, cells)
+            if i is _OPEN:
+                return _OPEN
+            if lo <= i <= hi:
+                return cells.get((name, (i,)), _OPEN)
+            raise EvalFault(FAULT_RANGE)
+
+        return ref1
+
+    def ref(env, scalars, cells, cell_of=compile_cell(t, arrays, local)):
+        cell = cell_of(env, scalars, cells)
+        return _OPEN if cell is _OPEN else cells.get(cell, _OPEN)
+
+    return ref
+
+
+def compile_cell(t: ArrayRef, arrays: Arrays, local: frozenset[str] = _NO_NAMES) -> TermCode:
+    """The cell t refers to as a closure: _OPEN while an index is open (the
+    later indices are then not read); a closed index outside the declared
+    range faults."""
+    name = t.array
+    ranges = _ranges(t, arrays)
+    consts = tuple(_constant(i) for i in t.indices)
+    if ranges and _OPEN not in consts and all(lo <= i <= hi for i, (lo, hi) in zip(consts, ranges)):
+        def constant_cell(env, scalars, cells, cell=(name, consts)):
+            return cell
+
+        return constant_cell
+    idx = tuple(compile_term(i, arrays, local) for i in t.indices)
+    if len(ranges) == 1:
+        def cell1(env, scalars, cells, f=idx[0], name=name, lo=ranges[0][0], hi=ranges[0][1]):
+            i = f(env, scalars, cells)
+            if i is _OPEN:
+                return _OPEN
+            if lo <= i <= hi:
+                return (name, (i,))
+            raise EvalFault(FAULT_RANGE)
+
+        return cell1
+    if len(ranges) == 2:
+        def cell2(env, scalars, cells, f0=idx[0], f1=idx[1], name=name, ranges=ranges):
+            i = f0(env, scalars, cells)
+            if i is _OPEN:
+                return _OPEN
+            j = f1(env, scalars, cells)
+            if j is _OPEN:
+                return _OPEN
+            (lo0, hi0), (lo1, hi1) = ranges
+            if lo0 <= i <= hi0 and lo1 <= j <= hi1:
+                return (name, (i, j))
+            raise EvalFault(FAULT_RANGE)
+
+        return cell2
+
+    def cell(env, scalars, cells, idx=idx, name=name, arrays=arrays):
+        key = []
+        for f in idx:
+            v = f(env, scalars, cells)
+            if v is _OPEN:
+                return _OPEN
+            key.append(v)
+        key = tuple(key)
+        if not arrays.decl(name).in_range(key):
+            raise EvalFault(FAULT_RANGE)
+        return (name, key)
+
+    return cell
+
+
+def compile_resolver(t: Term, local: frozenset[str] = _NO_NAMES) -> Callable[[Env], Term]:
+    """t as a closure env -> t with every name env binds (other than the
+    local ones) replaced by its term: a call's argument as the callee's
+    environment holds it."""
+    kind = type(t)
+    if kind is Var and t.name not in local:
+        return lambda env, name=t.name, t=t: env.get(name, t)
+    if kind is App:
+        f, g = (compile_resolver(x, local) for x in t.args)
+        return lambda env, op=t.op, f=f, g=g: App(op, (f(env), g(env)))
+    if kind is ArrayRef:
+        parts = tuple(compile_resolver(x, local) for x in t.indices)
+        return lambda env, array=t.array, parts=parts: ArrayRef(
+            array, tuple(f(env) for f in parts)
+        )
+    return lambda env, t=t: t
+
+
+def closed_checks(
+    t: Term, arrays: Arrays, bound: frozenset[str], local: frozenset[str]
+) -> list[tuple[Term, Callable[[Env, dict, dict], bool]]]:
+    """(part, check) pairs whose checks together say t is closed inside a
+    formula whose binders met so far are `bound` (`local` are those of the
+    formula being checked, which the environment does not hold): every
+    variable has a value or is such a binder, and every array reference
+    denotes a bound cell, so a reference whose index reads a binder without
+    a value is not closed.  Constants and local binders need no check, and
+    a function application is closed when its arguments are."""
+    checks = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is App:
+            todo += reversed(t.args)
+        elif kind is Var and t.name not in local:
+            checks.append((t, _closed_var(t.name, arrays, bound)))
+        elif kind is ArrayRef:
+            checks.append((t, _closed_ref(compile_cell(t, arrays, local))))
+    return checks
+
+
+def _closed_var(name: str, arrays: Arrays, bound: frozenset[str]):
+    def closed_var(env, scalars, cells, name=name, arrays=arrays, bound=bound):
+        resolved = env.get(name)
+        if resolved is None:
+            return name in scalars or name in bound
+        if type(resolved) is Var:
+            return resolved.name in scalars or resolved.name in bound
+        return closed_value(resolved, bound, scalars, cells, arrays)
+
+    return closed_var
+
+
+def _closed_ref(cell_of: TermCode):
+    def closed_ref(env, scalars, cells, cell_of=cell_of):
+        try:
+            cell = cell_of(env, scalars, cells)
+        except EvalFault:
+            return False
+        return cell is not _OPEN and cell in cells
+
+    return closed_ref
+
+
+# ---------------------------------------------------------------------------
+# Terms built at run time: the resolved terms environments hold.  A chain of
+# calls can make them arbitrarily deep, so they are walked with an explicit
+# stack and never compiled.
+
+
+def value_of(t: Term, scalars: dict, cells: dict, arrays: Arrays = NO_ARRAYS):
+    """Value of t under an empty environment: the value, _OPEN when t reads
+    an unbound variable or cell, or EvalFault.  Both arguments of a function
+    are read before it applies; the indices of a reference are read in order
+    up to the first open one."""
+    stack: list[tuple[Term, list]] = []  # (App or ArrayRef, its parts read so far)
+    while True:
+        kind = type(t)
+        if kind is Var:
+            v = scalars.get(t.name, _OPEN)
+        elif kind is IntConst or kind is BoolConst:
+            v = t.value
+        elif kind is App:
+            stack.append((t, []))
+            t = t.args[0]
+            continue
+        elif kind is ArrayRef:
+            stack.append((t, []))
+            t = t.indices[0]
+            continue
+        else:
+            raise TypeError(f"unknown term {t!r}")
+        while stack:  # hand v up to the terms waiting for it
+            node, parts = stack[-1]
+            if type(node) is App:
+                parts.append(v)
+                if len(parts) == 1:
+                    t = node.args[1]
+                    break
+                lhs, rhs = parts
+                v = _OPEN if lhs is _OPEN or rhs is _OPEN else _FUNCTIONS[node.op](lhs, rhs)
+            elif v is not _OPEN:
+                parts.append(v)
+                if len(parts) < len(node.indices):
+                    t = node.indices[len(parts)]
+                    break
+                key = tuple(parts)
+                if not arrays.decl(node.array).in_range(key):
+                    raise EvalFault(FAULT_RANGE)
+                v = cells.get((node.array, key), _OPEN)
+            stack.pop()
+        else:
+            return v
+
+
+def cell_value(t: ArrayRef, scalars: dict, cells: dict, arrays: Arrays):
+    """The cell a run-time reference denotes, _OPEN while an index is open."""
+    key = []
+    for i in t.indices:
+        v = value_of(i, scalars, cells, arrays)
+        if v is _OPEN:
+            return _OPEN
+        key.append(v)
+    key = tuple(key)
+    if not arrays.decl(t.array).in_range(key):
+        raise EvalFault(FAULT_RANGE)
+    return (t.array, key)
+
+
+def closed_value(
+    t: Term, bound: frozenset[str], scalars: dict, cells: dict, arrays: Arrays
+) -> bool:
+    """Whether a run-time term is closed: each variable has a value or is in
+    bound, and each array reference denotes a bound cell."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Var:
+            if t.name not in scalars and t.name not in bound:
+                return False
+        elif kind is App:
+            todo += t.args
+        elif kind is ArrayRef:
+            try:
+                if value_of(t, scalars, cells, arrays) is _OPEN:
+                    return False
+            except EvalFault:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Public evaluation
+
+
+def try_eval_term(
+    t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS, env: Env = EMPTY_ENV
+) -> Value | None:
+    """Value of a closed term, None when t is open; raises EvalFault on
+    div/mod-by-zero or an out-of-range cell with closed indices."""
+    if type(t) is IntConst:  # also the bounds of the rest of a range, built at run time
+        return t.value
+    v = arrays.term(t)(env, a.scalars, a.cells)
+    return None if v is _OPEN else v
+
+
+def is_closed(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> bool:
+    """True iff every variable of t is bound and every array reference has
+    closed indices whose cell is bound.  Faulting terms count as not closed;
+    the fault itself surfaces when the atom is classified or evaluated."""
+    try:
+        return value_of(t, a.scalars, a.cells, arrays) is not _OPEN
+    except EvalFault:
+        return False
+
+
+def eval_term(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> Value:
+    """Evaluate a closed term; raises EvalFault on partial-function holes."""
+    v = value_of(t, a.scalars, a.cells, arrays)
+    if v is _OPEN:
+        raise ValueError(f"term is not closed under {a}")
+    return v
+
+
+# ---------------------------------------------------------------------------
+# Compiling atoms
 
 
 def classify_atom(
@@ -294,54 +648,206 @@ def classify_atom(
     """Decide the evaluation case for an atom under env and a valuation.
     Procedure calls are unfolded by the engine before classification and are
     rejected here.  Faults are reported in-band via NotEvaluable.fault."""
-    if isinstance(atom, TrueAtom):
-        return CLOSED_TRUE
-    if isinstance(atom, FalseAtom):
-        return CLOSED_FALSE
-    if isinstance(atom, Call):
+    return arrays.atom(atom)(env, a.scalars, a.cells)
+
+
+def _closed_true(env, scalars, cells):
+    return CLOSED_TRUE
+
+
+def _closed_false(env, scalars, cells):
+    return CLOSED_FALSE
+
+
+def compile_atom(atom: Atom, arrays: Arrays) -> AtomCode:
+    """atom as a closure (env, scalars, cells) -> its class.  Atoms that
+    read nothing share one closure per class."""
+    kind = type(atom)
+    if kind is Eq:
+        return _compile_eq(atom, arrays)
+    if kind is Rel:
+        return _compile_rel(atom, arrays)
+    if kind is TrueAtom:
+        return _closed_true
+    if kind is FalseAtom:
+        return _closed_false
+    if kind is Call:
         raise TypeError("procedure atoms must be unfolded before classification")
-    if isinstance(atom, Rel):
-        try:
-            lhs = _term_value(atom.lhs, a, arrays, env)
-            rhs = _term_value(atom.rhs, a, arrays, env)
-        except EvalFault as fault:
-            return NotEvaluable(fault.reason)
-        if lhs is _OPEN or rhs is _OPEN:
-            return NotEvaluable()
-        return CLOSED_TRUE if apply_relation(atom.op, lhs, rhs) else CLOSED_FALSE
-    if isinstance(atom, Eq):
-        try:
-            return _classify_eq(atom, a, arrays, env)
-        except EvalFault as fault:
-            return NotEvaluable(fault.reason)
     raise TypeError(f"unknown atom {atom!r}")
 
 
-def _classify_eq(atom: Eq, a: Valuation, arrays: Arrays, env: Env) -> AtomClass:
-    lhs = _term_value(atom.lhs, a, arrays, env)
-    rhs = _term_value(atom.rhs, a, arrays, env)
-    if lhs is not _OPEN and rhs is not _OPEN:
-        return CLOSED_TRUE if lhs == rhs else CLOSED_FALSE
-    if lhs is _OPEN and rhs is not _OPEN:
-        target = _assignment_target(atom.lhs, a, arrays, env)
-        return Assignment(target, rhs) if target is not None else NotEvaluable()
-    if rhs is _OPEN and lhs is not _OPEN:
-        target = _assignment_target(atom.rhs, a, arrays, env)
-        return Assignment(target, lhs) if target is not None else NotEvaluable()
-    return NotEvaluable()
+def _compile_rel(atom: Rel, arrays: Arrays) -> AtomCode:
+    op = _RELATIONS[atom.op]
+    lk, rk = _constant(atom.lhs), _constant(atom.rhs)
+    if lk is not _OPEN and rk is not _OPEN:
+        return _closed_true if op(lk, rk) else _closed_false
+    if rk is not _OPEN:
+        def rel_k(env, scalars, cells, f=compile_term(atom.lhs, arrays), k=rk, op=op):
+            try:
+                lhs = f(env, scalars, cells)
+            except EvalFault as fault:
+                return NotEvaluable(fault.reason)
+            if lhs is _OPEN:
+                return NOT_EVALUABLE
+            return CLOSED_TRUE if op(lhs, k) else CLOSED_FALSE
+
+        return rel_k
+    g = compile_term(atom.rhs, arrays)
+    if lk is not _OPEN:
+        def k_rel(env, scalars, cells, g=g, k=lk, op=op):
+            try:
+                rhs = g(env, scalars, cells)
+            except EvalFault as fault:
+                return NotEvaluable(fault.reason)
+            if rhs is _OPEN:
+                return NOT_EVALUABLE
+            return CLOSED_TRUE if op(k, rhs) else CLOSED_FALSE
+
+        return k_rel
+
+    def rel(env, scalars, cells, f=compile_term(atom.lhs, arrays), g=g, op=op):
+        try:
+            lhs = f(env, scalars, cells)
+            rhs = g(env, scalars, cells)
+        except EvalFault as fault:
+            return NotEvaluable(fault.reason)
+        if lhs is _OPEN or rhs is _OPEN:
+            return NOT_EVALUABLE
+        return CLOSED_TRUE if op(lhs, rhs) else CLOSED_FALSE
+
+    return rel
 
 
-def _assignment_target(
-    t: Term, a: Valuation, arrays: Arrays, env: Env
-) -> str | Cell | None:
-    """The bindable site of an open equation side: a bare unbound variable, or
-    an array reference with closed indices and an unbound cell."""
-    if isinstance(t, Var) and t.name in env:
-        t, env = env[t.name], EMPTY_ENV
-    if isinstance(t, Var) and t.name not in a.scalars:
+def _compile_eq(atom: Eq, arrays: Arrays) -> AtomCode:
+    """Each side is read once.  An open side that is a bare variable or an
+    array reference with closed indices is what an assignment binds.  An
+    equation between variables and constants reads its variables inline."""
+    lhs, rhs = atom.lhs, atom.rhs
+    lk, rk = _constant(lhs), _constant(rhs)
+    if lk is not _OPEN and rk is not _OPEN:
+        return _closed_true if lk == rk else _closed_false
+    if type(lhs) is Var and rk is not _OPEN:
+        return _eq_var_k(lhs.name, rk, arrays)
+    if type(rhs) is Var and lk is not _OPEN:
+        return _eq_var_k(rhs.name, lk, arrays)
+    if type(lhs) is Var and type(rhs) is Var:
+        return _eq_vars(lhs.name, rhs.name, arrays)
+    lval, lcell, lname = _side(lhs, arrays)
+    rval, rcell, rname = _side(rhs, arrays)
+
+    def eq(env, scalars, cells, lval=lval, lcell=lcell, lname=lname,
+           rval=rval, rcell=rcell, rname=rname, arrays=arrays):
+        try:
+            if lcell is None:
+                lhs = lval(env, scalars, cells)
+            else:
+                lc = lcell(env, scalars, cells)
+                lhs = _OPEN if lc is _OPEN else cells.get(lc, _OPEN)
+            if rcell is None:
+                rhs = rval(env, scalars, cells)
+            else:
+                rc = rcell(env, scalars, cells)
+                rhs = _OPEN if rc is _OPEN else cells.get(rc, _OPEN)
+        except EvalFault as fault:
+            return NotEvaluable(fault.reason)
+        if lhs is _OPEN:
+            if rhs is _OPEN:
+                return NOT_EVALUABLE
+            target = lc if lcell is not None else _target(lname, env, scalars, cells, arrays)
+            value = rhs
+        elif rhs is _OPEN:
+            target = rc if rcell is not None else _target(rname, env, scalars, cells, arrays)
+            value = lhs
+        else:
+            return CLOSED_TRUE if lhs == rhs else CLOSED_FALSE
+        return NOT_EVALUABLE if target is _OPEN else Assignment(target, value)
+
+    return eq
+
+
+def _side(t: Term, arrays: Arrays) -> tuple[TermCode | None, TermCode | None, str | None]:
+    """How an equation side is read: (its value, or None when it is an array
+    reference, read through its cell), (its cell, or None), and the name a
+    bare variable side binds through the environment."""
+    if type(t) is ArrayRef:
+        return None, compile_cell(t, arrays), None
+    return compile_term(t, arrays), None, t.name if type(t) is Var else None
+
+
+def _eq_var_k(name: str, k: Value, arrays: Arrays) -> AtomCode:
+    """x = k, or k = x."""
+    def eq_var_k(env, scalars, cells, name=name, k=k, arrays=arrays):
+        bound = env.get(name)
+        if bound is None:
+            target = name
+        elif type(bound) is Var:
+            target = bound.name
+        else:
+            return _classify_eq(bound, _constant_term(k), scalars, cells, arrays)
+        v = scalars.get(target, _OPEN)
+        if v is _OPEN:
+            return Assignment(target, k)
+        return CLOSED_TRUE if v == k else CLOSED_FALSE
+
+    return eq_var_k
+
+
+def _eq_vars(lname: str, rname: str, arrays: Arrays) -> AtomCode:
+    """x = y."""
+    def eq_vars(env, scalars, cells, lname=lname, rname=rname, arrays=arrays):
+        lhs = env.get(lname, None)
+        rhs = env.get(rname, None)
+        lt = lname if lhs is None else lhs.name if type(lhs) is Var else None
+        rt = rname if rhs is None else rhs.name if type(rhs) is Var else None
+        if lt is None or rt is None:
+            return _classify_eq(lhs or Var(lname), rhs or Var(rname), scalars, cells, arrays)
+        lv = scalars.get(lt, _OPEN)
+        rv = scalars.get(rt, _OPEN)
+        if lv is _OPEN:
+            return NOT_EVALUABLE if rv is _OPEN else Assignment(lt, rv)
+        if rv is _OPEN:
+            return Assignment(rt, lv)
+        return CLOSED_TRUE if lv == rv else CLOSED_FALSE
+
+    return eq_vars
+
+
+def _constant_term(v: Value) -> Term:
+    return BoolConst(v) if type(v) is bool else IntConst(v)
+
+
+def _classify_eq(lhs: Term, rhs: Term, scalars: dict, cells: dict, arrays: Arrays) -> AtomClass:
+    """lhs = rhs between terms built at run time."""
+    try:
+        lv = value_of(lhs, scalars, cells, arrays)
+        rv = value_of(rhs, scalars, cells, arrays)
+    except EvalFault as fault:
+        return NotEvaluable(fault.reason)
+    if lv is _OPEN:
+        if rv is _OPEN:
+            return NOT_EVALUABLE
+        target, value = _resolved_target(lhs, scalars, cells, arrays), rv
+    elif rv is _OPEN:
+        target, value = _resolved_target(rhs, scalars, cells, arrays), lv
+    else:
+        return CLOSED_TRUE if lv == rv else CLOSED_FALSE
+    return NOT_EVALUABLE if target is _OPEN else Assignment(target, value)
+
+
+def _target(name: str | None, env: Env, scalars: dict, cells: dict, arrays: Arrays):
+    """What an open bare-variable side binds: the variable, or what the
+    environment resolves it to when that is a variable or a reference with
+    closed indices; _OPEN when there is nothing to bind."""
+    if name is None:
+        return _OPEN
+    return _resolved_target(env.get(name) or Var(name), scalars, cells, arrays)
+
+
+def _resolved_target(t: Term, scalars: dict, cells: dict, arrays: Arrays):
+    """What an open run-time term binds: itself when it is a variable, its
+    cell when it is a reference with closed indices, else _OPEN."""
+    if type(t) is Var:
         return t.name
-    if isinstance(t, ArrayRef):
-        cell = _cell_of(t, a, arrays, env)  # may fault; caller converts
-        if cell is not _OPEN and cell not in a.cells:
-            return cell
-    return None
+    if type(t) is ArrayRef:
+        return cell_value(t, scalars, cells, arrays)
+    return _OPEN

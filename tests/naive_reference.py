@@ -1,7 +1,10 @@
 """A deliberately naive reference interpreter for the verbatim strict
 semantics: recursive, materializes every leaf list eagerly, immutable
 environments, no trail, no laziness.  Structurally independent from the
-engine so the two can be compared leaf for leaf."""
+engine so the two can be compared leaf for leaf: it substitutes instead of
+running bodies under environments, and it has its own term evaluation, atom
+classification and closedness check, written from the paper's definitions
+rather than taken from fap.values."""
 
 from __future__ import annotations
 
@@ -13,11 +16,14 @@ from fap.formulas import (
     App,
     ArrayRef,
     Atom,
+    BoolConst,
     Call,
     Cons,
     Empty,
+    Eq,
     Exists,
     ExistsBounded,
+    FalseAtom,
     ForallBounded,
     Formula,
     Implies,
@@ -25,23 +31,15 @@ from fap.formulas import (
     Not,
     Or,
     ProgramUnit,
+    Rel,
     Term,
+    TrueAtom,
     Var,
-    atom_terms,
     concat,
     conj,
     subst_formula,
 )
-from fap.values import (
-    Arrays,
-    Assignment,
-    ClosedFalse,
-    ClosedTrue,
-    NotEvaluable,
-    Valuation,
-    classify_atom,
-    is_closed,
-)
+from fap.values import Valuation
 
 _fresh = itertools.count(1)
 
@@ -61,8 +59,85 @@ class RError:
     pass
 
 
+class _Fault(Exception):
+    """Division or modulo by zero, or a closed index outside the declared
+    range: the atom or bound that meets it is an error."""
+
+
+_RELATIONS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "<>": lambda a, b: a != b,
+}
+
+
 def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
-    arrays = Arrays(program.arrays)
+    ranges = {d.name: d.ranges for d in program.arrays}
+
+    def value(t: Term, a: Valuation):
+        """The value of t under a, or None when t reads an unbound variable
+        or cell.  Every part is read, so a fault anywhere raises _Fault."""
+        if isinstance(t, (IntConst, BoolConst)):
+            return t.value
+        if isinstance(t, Var):
+            return a.scalars.get(t.name)
+        if isinstance(t, App):
+            lhs, rhs = value(t.args[0], a), value(t.args[1], a)
+            if lhs is None or rhs is None:
+                return None
+            if t.op in ("div", "mod") and rhs == 0:
+                raise _Fault()
+            if t.op == "+":
+                return lhs + rhs
+            if t.op == "-":
+                return lhs - rhs
+            if t.op == "*":
+                return lhs * rhs
+            return lhs // rhs if t.op == "div" else lhs % rhs
+        assert isinstance(t, ArrayRef)
+        cell = cell_of(t, a)
+        return None if cell is None else a.cells.get(cell)
+
+    def cell_of(t: ArrayRef, a: Valuation):
+        """The cell t denotes, or None while an index is open."""
+        idx = [value(i, a) for i in t.indices]
+        if any(i is None for i in idx):
+            return None
+        bounds = ranges[t.array]
+        if len(idx) != len(bounds) or not all(
+            lo <= i <= hi for i, (lo, hi) in zip(idx, bounds)
+        ):
+            raise _Fault()
+        return (t.array, tuple(idx))
+
+    def classify(h: Atom, a: Valuation):
+        """The four cases of an atom: True or False when it is closed, a
+        (target, value) pair when it is an equation between a closed side and
+        an unbound variable or cell, None when it is not evaluable."""
+        if isinstance(h, TrueAtom):
+            return True
+        if isinstance(h, FalseAtom):
+            return False
+        try:
+            lhs, rhs = value(h.lhs, a), value(h.rhs, a)
+            if lhs is not None and rhs is not None:
+                if isinstance(h, Rel):
+                    return _RELATIONS[h.op](lhs, rhs)
+                assert isinstance(h, Eq)
+                return lhs == rhs
+            if isinstance(h, Rel) or (lhs is None) == (rhs is None):
+                return None
+            site, closed = (h.lhs, rhs) if lhs is None else (h.rhs, lhs)
+            if isinstance(site, Var):
+                return (site.name, closed)
+            if isinstance(site, ArrayRef):
+                cell = cell_of(site, a)
+                return None if cell is None else (cell, closed)
+            return None
+        except _Fault:
+            return None
 
     def closed_formula(f: Formula, a: Valuation, bound: frozenset) -> bool:
         for h in f:
@@ -77,7 +152,8 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
                 if not closed_formula(body, a, bound):
                     return False
             elif isinstance(h, Atom):
-                if not all(closed_term(t, a, bound) for t in atom_terms(h)):
+                terms = (h.lhs, h.rhs) if isinstance(h, (Eq, Rel)) else ()
+                if not all(closed_term(t, a, bound) for t in terms):
                     return False
             elif isinstance(h, (Or, And)):
                 if not (closed_formula(h.left, a, bound) and closed_formula(h.right, a, bound)):
@@ -122,7 +198,10 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
                 collect(i)
             if not names <= set(a.scalars):
                 return False
-            return is_closed(t, a, arrays)
+            try:
+                return value(t, a) is not None
+            except _Fault:
+                return False
         return True
 
     def tree(f: Formula, a: Valuation) -> list:
@@ -137,17 +216,17 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
             )
             return tree(concat(body, tail), a)
         if isinstance(h, Atom):
-            cls = classify_atom(h, a, arrays)
-            if isinstance(cls, ClosedTrue):
+            case = classify(h, a)
+            if case is True:
                 return tree(tail, a)
-            if isinstance(cls, ClosedFalse):
+            if case is False:
                 return [RFail()]
-            if isinstance(cls, Assignment):
-                if isinstance(cls.target, str):
-                    return tree(tail, a.bind(cls.target, cls.value))
-                return tree(tail, a.bind_cell(cls.target, cls.value))
-            assert isinstance(cls, NotEvaluable)
-            return [RError()]
+            if case is None:
+                return [RError()]
+            target, closed = case
+            if isinstance(target, str):
+                return tree(tail, a.bind(target, closed))
+            return tree(tail, a.bind_cell(target, closed))
         if isinstance(h, Or):
             return tree(concat(h.left, tail), a) + tree(concat(h.right, tail), a)
         if isinstance(h, And):
@@ -181,11 +260,8 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
             ):
                 return [RError()]
             try:
-                from fap.values import eval_term
-
-                lo = eval_term(h.lo, a, arrays)
-                hi = eval_term(h.hi, a, arrays)
-            except Exception:
+                lo, hi = value(h.lo, a), value(h.hi, a)
+            except _Fault:
                 return [RError()]
             exists = isinstance(h, ExistsBounded)
             if lo > hi:

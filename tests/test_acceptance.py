@@ -161,6 +161,82 @@ def test_binding_discipline_suite(corpus):
     )
 
 
+# -- criteria 2 and 3 on the arrays-and-quantifiers profile ------------------------
+#
+# The generator's second profile adds an array, cell assignments and reads,
+# EXISTS and FORALL, with every index, cell value and witness inside the
+# domain, so the oracle ranges the unbounded quantifiers over the domain too.
+# Its small domain keeps the array's groundings few.  Every program is solved
+# under every negation x implication x pedantic mode.
+
+PROFILE_DOMAIN = FiniteDomain(0, 2, quantifiers=True)
+PROFILE_SIZE = 500
+ALL_MODES = tuple(
+    EngineConfig(negation=neg, implication=impl, pedantic=pedantic,
+                 report_internal_bindings=True)
+    for neg in NegationMode
+    for impl in ImplicationMode
+    for pedantic in (False, True)
+)
+
+
+@pytest.fixture(scope="module")
+def profile_corpus():
+    runs = []
+    for seed in range(PROFILE_SIZE):
+        program = normalize_program(generate(GeneratorConfig(
+            seed=seed, max_depth=5, domain=PROFILE_DOMAIN, arrays_and_quantifiers=True)))
+        rng = random.Random(seed ^ 0x5A5A)
+        initial = EMPTY_VALUATION
+        free = program.free_var_names()
+        if free and rng.random() < 0.3:
+            initial = Valuation({rng.choice(free): rng.randint(0, 2)},
+                                {("a", (0,)): rng.randint(0, 2)} if rng.random() < 0.5 else {})
+        sat = None
+        for config in ALL_MODES:
+            result = solve(program, initial, config)
+            if sat is None and result.status is not TreeStatus.UNDETERMINED:
+                sat = oracle_satisfiable(program.query, initial, PROFILE_DOMAIN, program)[0]
+            successes = tuple(l.valuation for l in result.leaves if isinstance(l, Success))
+            runs.append(CorpusRun(program, initial, result.status, successes, sat))
+    return runs
+
+
+def test_soundness_suite_on_arrays_and_quantifiers(profile_corpus):
+    checked = failed = 0
+    valid = {}  # the modes of one program mostly find the same successes
+    for run in profile_corpus:
+        for valuation in run.successes:
+            assert valuation.extends(run.initial)
+            key = (id(run.program), valuation.canonical())
+            if key not in valid:
+                valid[key] = oracle_valid(run.program.query, valuation, PROFILE_DOMAIN,
+                                          run.program)
+            assert valid[key]
+            checked += 1
+        if run.status is TreeStatus.FAILED:
+            failed += 1
+            assert run.sat is False
+    assert checked and failed
+    report(
+        f"PASS soundness suite, arrays and quantifiers: {PROFILE_SIZE} programs x "
+        f"{len(ALL_MODES)} modes, {checked} success leaves all true, {failed} failed "
+        f"runs all unsatisfiable"
+    )
+
+
+def test_restricted_completeness_suite_on_arrays_and_quantifiers(profile_corpus):
+    determined = [r for r in profile_corpus if r.status is not TreeStatus.UNDETERMINED]
+    for run in determined:
+        assert (run.status is TreeStatus.SUCCESSFUL) == run.sat
+    fraction = len(determined) / len(profile_corpus)
+    assert fraction > 0.40, f"determined fraction {fraction:.2%}"
+    report(
+        f"PASS restricted completeness suite, arrays and quantifiers: "
+        f"{len(determined)} determined runs ({fraction:.1%}) all match the oracle"
+    )
+
+
 # -- criterion 5 -----------------------------------------------------------------
 
 

@@ -26,6 +26,19 @@ def test_run_formula1_all():
     assert "leaves: success=1 fail=3 error=0" in lines
 
 
+def test_run_with_a_term_grown_deep_by_calls(tmp_path):
+    # p0 receives y + 1 + ... + 1, 999 sums deep: the engine evaluates it
+    # without recursion
+    src = "def p0(a) := a = a;\n"
+    src += "".join(f"def p{i}(a) := p{i - 1}(a + 1);\n" for i in range(1, 1000))
+    path = tmp_path / "deep.fap"
+    path.write_text(src + "query y = 0 AND p999(y);\n")
+    proc = run_cli("run", str(path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "status: SUCCESSFUL" in lines and "steps: 1003" in lines
+
+
 def test_run_unsat_exits_one():
     proc = run_cli("run", "corpus/unsat.fap")
     assert proc.returncode == 1

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,37 @@ def test_negation_over_a_deep_call_chain():
     assert solve(load(src + "query y = 1 AND NOT p999(y);")).status is TreeStatus.FAILED
     assert solve(load(src + "query y = 2 AND NOT p999(y);")).solutions == (
         Valuation({"y": 2}),)
+
+
+
+def deep_sum_chain(p0: str, query: str) -> str:
+    """p999(a) calls p0 with a + 1 + ... + 1: a 999-deep sum built at run
+    time, deeper than any term the parser accepts."""
+    src = p0 + "\n" + "".join(f"def p{i}(a, z) := p{i - 1}(a + 1, z);\n" for i in range(1, 1000))
+    return src + f"query {query};"
+
+
+def test_terms_built_deep_at_run_time():
+    r = solve(load(deep_sum_chain("def p0(a, z) := a = a;", "y = 0 AND p999(y, y)")))
+    assert (r.status, r.steps, r.solutions) == (TreeStatus.SUCCESSFUL, 1003, (Valuation({"y": 0}),))
+    # the deep sum is assigned, compared, checked for closedness and read by
+    # the liberal witness check
+    r = solve(load(deep_sum_chain("def p0(a, z) := z = a;", "y = 0 AND p999(y, z)")))
+    assert r.solutions == (Valuation({"y": 0, "z": 999}),)
+    r = solve(load(deep_sum_chain("def p0(a, z) := a > z;", "y = 0 AND NOT p999(y, 998)")))
+    assert r.status is TreeStatus.FAILED
+    src = deep_sum_chain("def p0(a, z) := EXISTS w . w = a AND w > z;", "y = 0 AND NOT p999(y, z)")
+    assert solve(load(src), config=LIBERAL).error_causes == ("negand-undetermined",)
+
+
+
+def test_a_solved_program_copies_and_pickles_without_its_code():
+    program = load("array a[1..2] : int;\ndef p(u) := a[u] = u;\nquery p(1) AND NOT p(2) -> x = 1;")
+    first = solve(program, config=LIBERAL)
+    for twin in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program)):
+        assert twin == program and "code" not in vars(twin)
+        assert solve(twin, config=LIBERAL) == first
+    assert solve(program, config=LIBERAL) == first  # the kept code, reused
 
 
 # -- budget and limits ---------------------------------------------------------

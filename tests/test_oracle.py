@@ -197,3 +197,43 @@ def test_generated_constants_stay_in_domain():
                         check(sub)
 
         check(pu.query)
+
+
+def test_quantifiers_over_the_domain_when_asked():
+    p = load_query("EXISTS v . v = 1 AND FORALL w . w < 3")
+    assert oracle_truth(p.query, EMPTY_VALUATION, FiniteDomain(0, 2, quantifiers=True), p)
+    assert not oracle_truth(p.query, EMPTY_VALUATION, FiniteDomain(0, 4, quantifiers=True), p)
+    b = load_query("EXISTS v : bool . v = TRUE")
+    assert oracle_truth(b.query, EMPTY_VALUATION, FiniteDomain(0, 0, quantifiers=True), b)
+
+
+def test_arrays_and_quantifiers_profile():
+    from fap.formulas import ArrayRef, Exists, Forall, head_parts, subterms
+
+    d = FiniteDomain(0, 2)
+    seen = set()
+
+    def visit(f, in_query):
+        for h in f:
+            terms, subs, _ = head_parts(h)
+            for t in terms:
+                for s in subterms(t):
+                    if isinstance(s, ArrayRef):
+                        # the oracle grounds the cells the query mentions
+                        assert in_query and s.array == "a"
+                        seen.add("cell")
+            if isinstance(h, (Exists, Forall)):
+                seen.add(type(h).__name__)
+            for sub in subs:
+                visit(sub, in_query)
+
+    for seed in range(200):
+        plain = generate(GeneratorConfig(seed=seed, domain=d))
+        assert plain == generate(GeneratorConfig(seed=seed, domain=d, arrays_and_quantifiers=False))
+        pu = generate(GeneratorConfig(seed=seed, domain=d, arrays_and_quantifiers=True))
+        assert [(a.name, a.ranges) for a in pu.arrays] == [("a", ((0, 2),))]
+        visit(pu.query, True)
+        for proc in pu.procedures:
+            visit(proc.body, False)
+        assert free_vars(parse(format_program(pu)).query) == free_vars(pu.query)
+    assert seen == {"cell", "Exists", "Forall"}

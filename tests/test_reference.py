@@ -4,7 +4,7 @@ naive recursive reference interpreter over the generated corpus."""
 from naive_reference import RError, RFail, RSuccess, reference_leaves
 from fap.engine import EngineConfig, Error, Fail, Success, solve
 from fap.normalize import load, load_query, normalize_program
-from fap.oracle import GeneratorConfig, generate
+from fap.oracle import FiniteDomain, GeneratorConfig, generate
 from fap.values import EMPTY_VALUATION, Valuation
 
 PEDANTIC = EngineConfig(pedantic=True)
@@ -34,6 +34,13 @@ def compare(program, initial=EMPTY_VALUATION):
 def test_engine_matches_reference_on_generated_corpus():
     for seed in range(2500):
         compare(normalize_program(generate(GeneratorConfig(seed=seed, max_depth=5))))
+
+
+def test_engine_matches_reference_on_arrays_and_quantifiers():
+    domain = FiniteDomain(0, 2, quantifiers=True)
+    for seed in range(1500):
+        compare(normalize_program(generate(GeneratorConfig(
+            seed=seed, max_depth=5, domain=domain, arrays_and_quantifiers=True))))
 
 
 def test_engine_matches_reference_on_hand_cases():
@@ -67,6 +74,13 @@ def test_engine_matches_reference_with_arrays_and_procedures():
         "def p(u) := u = 3 OR u = 4;\nquery p(w) AND w = 4;",
         "def inc(u, v) := v = u + 1;\nquery inc(1, r) AND inc(r, s);",
         "def p(u) := NOT (u = 0);\nquery p(2) AND z = 1;",
+        # a call's body is part of the operand whose closedness it decides
+        "array a[1..2] : int;\ndef p(u) := FALSE AND EXISTS w . a[w] = u;\n"
+        "query NOT p(1) AND z = 1;",
+        "array a[1..2] : int;\ndef p(u) := FALSE AND EXISTS w . a[w] = u;\n"
+        "query (p(1) -> z = 2) AND z = 1;",
+        "array a[1..2] : int;\ndef p(u) := a[u] = 1;\ndef r(v) := p(v + 1);\n"
+        "query a[2] = 1 AND NOT r(1) AND z = 1;",
     ]
     for src in programs:
         compare(load(src))
