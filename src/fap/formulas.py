@@ -11,10 +11,27 @@ and benchmark corpora hold thousands of programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
+
+
+def _node(cls: type) -> type:
+    """cls as a frozen dataclass with slots, built by an __init__ that writes
+    each slot through its descriptor instead of the frozen object.__setattr__
+    path, at about half the cost.  Nodes stay immutable (assignment raises
+    FrozenInstanceError), equal and hashable by value, and __post_init__
+    still checks them."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    body = [f"_set_{n}(self, {n})" for n in names]
+    body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    exec(f"def __init__(self, {', '.join(names)}):\n    " + ("\n    ".join(body) or "pass"), scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    return cls
 
 
 class Scalar(Enum):
@@ -25,7 +42,7 @@ class Scalar(Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ArraySort:
     """Sort of an array symbol: index arity plus scalar element sort."""
 
@@ -55,23 +72,23 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class IntConst(Term):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class BoolConst(Term):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Term):
     name: str
     sort: Scalar = Scalar.INT
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class App(Term):
     """Application of one of the fixed integer functions: + - * div mod."""
 
@@ -85,7 +102,7 @@ class App(Term):
             raise ValueError(f"{self.op} expects 2 arguments")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ArrayRef(Term):
     array: str
     indices: tuple[Term, ...]
@@ -105,13 +122,13 @@ class Atom(Head):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Eq(Atom):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Rel(Atom):
     op: str
     lhs: Term
@@ -122,18 +139,18 @@ class Rel(Atom):
             raise ValueError(f"unknown relation symbol {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Call(Atom):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TrueAtom(Atom):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FalseAtom(Atom):
     pass
 
@@ -159,12 +176,12 @@ class Formula:
         return isinstance(self, Empty)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Empty(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Cons(Formula):
     head: Head
     tail: Formula
@@ -191,37 +208,37 @@ def concat(a: Formula, b: Formula) -> Formula:
     return f
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Head):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Head):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Head):
     antecedent: Formula
     consequent: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Head):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exists(Head):
     var: str
     sort: Scalar
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Forall(Head):
     """Unbounded universal quantifier; surface-only, removed by normalization."""
 
@@ -230,7 +247,7 @@ class Forall(Head):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ExistsBounded(Head):
     var: str
     lo: Term
@@ -238,7 +255,7 @@ class ExistsBounded(Head):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ForallBounded(Head):
     var: str
     lo: Term
@@ -250,7 +267,7 @@ class ForallBounded(Head):
 # Declarations and program units
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ArrayDecl:
     name: str
     ranges: tuple[tuple[int, int], ...]
@@ -266,7 +283,7 @@ class ArrayDecl:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ProcedureDef:
     name: str
     params: tuple[tuple[str, Scalar], ...]
@@ -316,17 +333,6 @@ class ProgramUnit:
 # Traversals
 
 
-def term_vars(t: Term) -> Iterator[Var]:
-    if isinstance(t, Var):
-        yield t
-    elif isinstance(t, App):
-        for a in t.args:
-            yield from term_vars(a)
-    elif isinstance(t, ArrayRef):
-        for a in t.indices:
-            yield from term_vars(a)
-
-
 def head_parts(h: Head) -> tuple[tuple[Term, ...], tuple[Formula, ...], str | None]:
     """What h is made of, in written order: the terms it reads outside its
     binder, its sub-formulas, and the variable it binds (or None)."""
@@ -374,8 +380,8 @@ def free_vars(f: Formula) -> tuple[str, ...]:
         for h in f:
             terms, subs, var = head_parts(h)
             for t in terms:
-                for v in term_vars(t):
-                    if v.name not in bound:
+                for v in subterms(t):
+                    if type(v) is Var and v.name not in bound:
                         out[v.name] = None
             for sub in subs:
                 walk(sub, bound if var is None else bound | {var})
@@ -456,27 +462,35 @@ _MUL_OPS = ("*", "div", "mod")
 
 
 def format_term(t: Term) -> str:
-    return _fmt_term(t, _TERM_ADD)
-
-
-def _fmt_term(t: Term, level: int) -> str:
-    if isinstance(t, IntConst):
-        s = str(t.value)
-        return f"({s})" if t.value < 0 and level >= _TERM_MUL else s
-    if isinstance(t, BoolConst):
-        return "TRUE" if t.value else "FALSE"
-    if isinstance(t, Var):
-        return _surface_name(t.name)
-    if isinstance(t, ArrayRef):
-        return f"{t.array}[{', '.join(_fmt_term(i, _TERM_ADD) for i in t.indices)}]"
-    if isinstance(t, App):
-        own = _TERM_MUL if t.op in _MUL_OPS else _TERM_ADD
-        lhs = _fmt_term(t.args[0], own)
-        # left-associative: the right operand needs parens at the same level
-        rhs = _fmt_term(t.args[1], own + 1)
-        text = f"{lhs} {t.op} {rhs}"
-        return f"({text})" if own < level else text
-    raise TypeError(f"unknown term {t!r}")
+    """t as text, printed with a stack: a term built at run time can nest
+    deeper than the interpreter's stack."""
+    out: list[str] = []
+    todo: list = [(t, _TERM_ADD)]  # (term, level) and text still to print, last first
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, level = item
+        if isinstance(t, IntConst):
+            s = str(t.value)
+            out.append(f"({s})" if t.value < 0 and level >= _TERM_MUL else s)
+        elif isinstance(t, BoolConst):
+            out.append("TRUE" if t.value else "FALSE")
+        elif isinstance(t, Var):
+            out.append(_surface_name(t.name))
+        elif isinstance(t, ArrayRef):
+            todo.append("]")
+            for i in range(len(t.indices) - 1, -1, -1):
+                todo += ((t.indices[i], _TERM_ADD), ", " if i else f"{t.array}[")
+        elif isinstance(t, App):
+            own = _TERM_MUL if t.op in _MUL_OPS else _TERM_ADD
+            # left-associative: the right operand needs parens at the same level
+            close, open_ = (")", "(") if own < level else ("", "")
+            todo += (close, (t.args[1], own + 1), f" {t.op} ", (t.args[0], own), open_)
+        else:
+            raise TypeError(f"unknown term {t!r}")
+    return "".join(out)
 
 
 def _surface_name(name: str) -> str:

@@ -26,10 +26,11 @@ from .formulas import (
     Or,
     ProcedureDef,
     ProgramUnit,
+    Term,
     Var,
-    concat,
     conj,
-    subst_formula,
+    subst_head,
+    subst_term,
 )
 
 
@@ -49,56 +50,53 @@ class FreshNames:
 
 def normalize(f: Formula, fresh: FreshNames | None = None) -> Formula:
     """Normalize a single formula; total on sort-checked input."""
-    return _norm(f, fresh if fresh is not None else FreshNames())
+    return _norm(f, fresh if fresh is not None else FreshNames(), {})
 
 
-def _norm(f: Formula, fresh: FreshNames) -> Formula:
-    heads = [_norm_head(h, fresh) for h in f]
+def _norm(f: Formula, fresh: FreshNames, names: dict[str, Term]) -> Formula:
+    """f in program form, with each variable that names maps renamed: the
+    binders around f, renamed on the way down, so each body is built once."""
+    heads: list[Head] = []
+    for h in f:
+        _norm_head(h, fresh, names, heads)
     out: Formula = EMPTY
-    for part in reversed(heads):
-        out = concat(part, out)
+    for h in reversed(heads):
+        out = Cons(h, out)
     return out
 
 
-def _norm_head(h: Head, fresh: FreshNames) -> Formula:
-    """Normalize one conjunct; the result is a formula (a head may dissolve
-    into several conjuncts or none)."""
+def _norm_head(h: Head, fresh: FreshNames, names: dict[str, Term], out: list[Head]) -> None:
+    """Append what one conjunct normalizes to: a head may dissolve into
+    several conjuncts or none."""
     if isinstance(h, Atom):
-        return conj(h)
-    if isinstance(h, And):
+        out.append(subst_head(h, names) if names else h)
+    elif isinstance(h, And):
         # clause dissolves: conjunction heads flatten into the spine
-        return concat(_norm(h.left, fresh), _norm(h.right, fresh))
-    if isinstance(h, Or):
-        return conj(Or(_norm(h.left, fresh), _norm(h.right, fresh)))
-    if isinstance(h, Implies):
-        return conj(Implies(_norm(h.antecedent, fresh), _norm(h.consequent, fresh)))
-    if isinstance(h, Not):
-        body = _norm(h.body, fresh)
-        stripped = _strip_double_negation(body)
-        if stripped is not None:
-            return stripped
-        return conj(Not(body))
-    if isinstance(h, Forall):
+        for part in (*h.left, *h.right):
+            _norm_head(part, fresh, names, out)
+    elif isinstance(h, Or):
+        out.append(Or(_norm(h.left, fresh, names), _norm(h.right, fresh, names)))
+    elif isinstance(h, Implies):
+        out.append(Implies(_norm(h.antecedent, fresh, names), _norm(h.consequent, fresh, names)))
+    elif isinstance(h, Not):
+        body = _norm(h.body, fresh, names)
+        if isinstance(body, Cons) and isinstance(body.head, Not) and body.tail.is_empty():
+            out.extend(body.head.body)  # NOT NOT f ~> f
+        else:
+            out.append(Not(body))
+    elif isinstance(h, Forall):
         # FORALL x . f  ~>  NOT EXISTS x . NOT f, then renaming as usual
-        rewritten = Not(conj(Exists(h.var, h.sort, conj(Not(h.body)))))
-        return _norm_head(rewritten, fresh)
-    if isinstance(h, Exists):
+        _norm_head(Not(conj(Exists(h.var, h.sort, conj(Not(h.body))))), fresh, names, out)
+    elif isinstance(h, Exists):
         name = fresh.fresh(h.var)
-        body = _norm(subst_formula(h.body, {h.var: Var(name, h.sort)}), fresh)
-        return conj(Exists(name, h.sort, body))
-    if isinstance(h, (ExistsBounded, ForallBounded)):
+        body = _norm(h.body, fresh, {**names, h.var: Var(name, h.sort)})
+        out.append(Exists(name, h.sort, body))
+    elif isinstance(h, (ExistsBounded, ForallBounded)):
         name = fresh.fresh(h.var)
-        body = _norm(subst_formula(h.body, {h.var: Var(name)}), fresh)
-        return conj(type(h)(name, h.lo, h.hi, body))
-    raise TypeError(f"unknown head {h!r}")
-
-
-def _strip_double_negation(body: Formula) -> Formula | None:
-    """For a negation whose body is exactly one negation, return the inner
-    body (NOT NOT f ~> f); otherwise None."""
-    if isinstance(body, Cons) and isinstance(body.head, Not) and body.tail.is_empty():
-        return body.head.body
-    return None
+        body = _norm(h.body, fresh, {**names, h.var: Var(name)})
+        out.append(type(h)(name, subst_term(h.lo, names), subst_term(h.hi, names), body))
+    else:
+        raise TypeError(f"unknown head {h!r}")
 
 
 def normalize_program(p: ProgramUnit) -> ProgramUnit:
@@ -106,10 +104,10 @@ def normalize_program(p: ProgramUnit) -> ProgramUnit:
     bound names are unique across the whole unit."""
     fresh = FreshNames()
     procs = tuple(
-        ProcedureDef(proc.name, proc.params, _norm(proc.body, fresh))
+        ProcedureDef(proc.name, proc.params, _norm(proc.body, fresh, {}))
         for proc in p.procedures
     )
-    query = _norm(p.query, fresh)
+    query = _norm(p.query, fresh, {})
     return ProgramUnit(
         arrays=p.arrays,
         procedures=procs,

@@ -1,10 +1,11 @@
 """Lexer, recursive-descent parser and sort checker for .fap program text.
 
 A program is `array` declarations, then `def` procedure definitions, then a
-single `query`; see docs/language.md for the grammar.  parse() returns a
-sort-checked (but not yet normalized) ProgramUnit, or raises Diagnostic with a
-line/column position.  Static errors are a different thing from runtime error
-leaves: a file that parses cleanly can still produce error leaves when run.
+single `query`; see docs/language.md for the grammar (a digit is a decimal
+digit, str.isdecimal).  parse() reads a well-formed program without
+backtracking and returns it sort-checked (not yet normalized), or raises a
+Diagnostic with a line/column position; a program that parses can still
+reach runtime error leaves.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .formulas import (
     App,
     BoolConst,
     Call,
+    Cons,
+    EMPTY,
     Eq,
     Exists,
     ExistsBounded,
@@ -24,6 +27,7 @@ from .formulas import (
     Forall,
     ForallBounded,
     Formula,
+    FUNCTIONS,
     Head,
     Implies,
     IntConst,
@@ -31,6 +35,7 @@ from .formulas import (
     Or,
     ProcedureDef,
     ProgramUnit,
+    RELATIONS,
     Rel,
     Scalar,
     TRUE,
@@ -38,11 +43,8 @@ from .formulas import (
     TrueAtom,
     FalseAtom,
     Var,
-    conj,
     concat,
-    free_vars,
     head_parts,
-    subterms,
     term_args,
 )
 
@@ -79,62 +81,62 @@ KEYWORDS = {
 
 _PUNCT = ["..", ":=", "->", "<=", ">=", "<>", "(", ")", "[", "]", ",", ";",
           ":", ".", "=", "<", ">", "+", "-", "*"]
+# each mark maps to itself, so that an operator in a tree is one shared string
+_PUNCT2 = {p: p for p in _PUNCT if len(p) == 2}
+_PUNCT1 = frozenset(p for p in _PUNCT if len(p) == 1)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "number" | "ident" | keyword text | punct text | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "number" | "ident" | keyword text | punct text | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of source, then "eof".  A number is a run of decimal digits
+    (str.isdecimal, what int() reads); a name starts with a letter or "_" and
+    goes on with letters, digits and "_" (str.isalnum)."""
     tokens: list[Token] = []
+    append = tokens.append
     line, col, i = 1, 1, 0
     n = len(source)
     while i < n:
         c = source[i]
+        j = i + 1
         if c == "\n":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("number", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+            col = 0  # 1 after the step below
+        elif c == " " or c == "\t" or c == "\r":
+            pass
+        elif c.isalpha() or c == "_":
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             word = source[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                col += len(p)
-                i += len(p)
+            append(Token(word if word in KEYWORDS else "ident", word, line, col))
+        elif c.isdecimal():
+            while j < n and source[j].isdecimal():
+                j += 1
+            append(Token("number", source[i:j], line, col))
+        elif c == "#":  # to the end of the line, which keeps its column
+            i = source.find("\n", i)
+            if i < 0:
                 break
+            continue
         else:
-            raise Diagnostic(SYNTAX, f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            p = _PUNCT2.get(source[i:i + 2])
+            if p is None:
+                p = c
+                if p not in _PUNCT1:
+                    raise Diagnostic(SYNTAX, f"unexpected character {c!r}", line, col)
+            j = i + len(p)
+            append(Token(p, p, line, col))
+        col += j - i
+        i = j
+    append(Token("eof", "", line, col))
     return tokens
 
 
@@ -146,35 +148,47 @@ _MAX_NESTING = 150
 _TOO_DEEP = "nesting too deep"
 
 
+# A term goes on after a parenthesis, a call or a truth value only with one
+# of these tokens.
+_TERM_GOES_ON = frozenset(("=", *RELATIONS, *FUNCTIONS))
+_MUL_OPS = frozenset(("*", "div", "mod"))
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.called: set[str] = set()  # the names called in the statement being read
+        self.callees: dict[str, set[str]] = {}  # procedure -> self.called of its body
+        self.after: dict[int, str] = {}  # index of a "(" -> kind of the token after its ")"
+        opened: list[int] = []
+        for i, t in enumerate(tokens):
+            if t.kind == "(":
+                opened.append(i)
+            elif t.kind == ")" and opened:
+                self.after[opened.pop()] = tokens[i + 1].kind
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self, kind: str | None = None) -> Token:
-        t = self.tokens[self.pos]
-        if kind is not None and t.kind != kind:
-            raise Diagnostic(SYNTAX, f"expected {kind!r}, found {t.text!r}", t.line, t.col)
-        return t
 
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos].kind == kind
 
     def take(self, kind: str) -> Token:
-        t = self.peek(kind)
+        t = self.tokens[self.pos]
+        if t.kind != kind:
+            raise Diagnostic(SYNTAX, f"expected {kind!r}, found {t.text!r}", t.line, t.col)
         self.pos += 1
         return t
 
-    def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.take(kind)
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos].kind == kind:
+            self.pos += 1
+            return True
+        return False
 
     def fail(self, message: str) -> Diagnostic:
-        t = self.peek()
+        t = self.tokens[self.pos]
         return Diagnostic(SYNTAX, message, t.line, t.col)
 
     # -- program structure -------------------------------------------------
@@ -216,9 +230,8 @@ class _Parser:
         return lo, hi
 
     def signed_int(self) -> int:
-        neg = self.accept("-") is not None
-        t = self.take("number")
-        v = int(t.text)
+        neg = self.accept("-")
+        v = int(self.take("number").text)
         return -v if neg else v
 
     def scalar_sort(self) -> Scalar:
@@ -240,6 +253,7 @@ class _Parser:
         self.take(")")
         self.take(":=")
         body = self.statement(name)
+        self.callees[name.text] = self.called
         self.take(";")
         return ProcedureDef(name.text, tuple(params), body), name
 
@@ -259,6 +273,7 @@ class _Parser:
         """A definition body or the query, checked by _check_depth.  Each
         level of nesting takes a token of its own, so a formula of at most
         _MAX_NESTING tokens is not walked."""
+        self.called = set()
         start = self.pos
         f = self.formula()
         if self.pos - start > _MAX_NESTING:
@@ -271,88 +286,109 @@ class _Parser:
             parts.append(self.disjunction())
         f = parts.pop()
         for part in reversed(parts):  # right associative
-            f = conj(Implies(part, f))
+            f = Cons(Implies(part, f), EMPTY)
         return f
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
         while self.accept("OR"):
             parts.append(self.conjunction())
-        f = parts[-1]
-        for part in reversed(parts[:-1]):
-            f = conj(Or(part, f))
+        f = parts.pop()
+        for part in reversed(parts):
+            f = Cons(Or(part, f), EMPTY)
         return f
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
         while self.accept("AND"):
             parts.append(self.unary())
-        # joined from the right: each part's spine is rebuilt once
-        f = parts.pop()
+        # joined from the right: a head is consed once, and a parenthesized
+        # formula's spine is rebuilt once
+        f: Formula = EMPTY
         for part in reversed(parts):
-            f = concat(part, f)
+            f = concat(part, f) if isinstance(part, Formula) else Cons(part, f)
         return f
 
-    def unary(self) -> Formula:
+    def unary(self) -> Head | Formula:
+        """One conjunct: a head, or the formula inside a parenthesis."""
         self.nest()
-        try:
-            if self.accept("NOT"):
-                return conj(Not(self.unary()))
-            if self.at("EXISTS") or self.at("FORALL"):
-                kw = self.take(self.peek().kind)
-                name = self.binder_name()
-                sort = self.scalar_sort() if self.accept(":") else Scalar.INT
-                self.take(".")
-                body = self.formula()
-                cls = Exists if kw.kind == "EXISTS" else Forall
-                return conj(cls(name, sort, body))
-            if self.at("SOME") or self.at("FOR"):
-                kw = self.take(self.peek().kind)
-                name = self.binder_name()
-                self.take(":=")
-                lo = self.term()
-                self.take("TO")
-                hi = self.term()
-                self.take("DO")
-                body = self.formula()
-                self.take("END")
-                cls = ExistsBounded if kw.kind == "SOME" else ForallBounded
-                return conj(cls(name, lo, hi, body))
-            return self.primary()
-        finally:
+        kind = self.tokens[self.pos].kind
+        if kind == "NOT":
+            self.pos += 1
+            body = self.unary()
+            h = Not(body if isinstance(body, Formula) else Cons(body, EMPTY))
+        elif kind == "EXISTS" or kind == "FORALL":
+            self.pos += 1
+            name = self.take("ident").text
+            sort = self.scalar_sort() if self.accept(":") else Scalar.INT
+            self.take(".")
+            h = (Exists if kind == "EXISTS" else Forall)(name, sort, self.formula())
+        elif kind == "SOME" or kind == "FOR":
+            self.pos += 1
+            name = self.take("ident").text
+            self.take(":=")
+            lo = self.term()
+            self.take("TO")
+            hi = self.term()
+            self.take("DO")
+            body = self.formula()
+            self.take("END")
+            h = (ExistsBounded if kind == "SOME" else ForallBounded)(name, lo, hi, body)
+        else:
+            h = self.primary()
+        self.depth -= 1
+        return h
+
+    def primary(self) -> Head | Formula:
+        """`term relop term`, else TRUE, FALSE, a call or `( formula )`.
+        A parenthesis, call or truth value starts a term only if the token
+        after it goes on with one; otherwise, and when a term reading fails,
+        it is read as a formula."""
+        tokens, mark = self.tokens, self.pos
+        kind = tokens[mark].kind
+        call = kind == "ident" and tokens[mark + 1].kind == "("
+        if kind == "(":
+            after = self.after.get(mark)  # None if it is never closed
+        elif call:
+            after = self.after.get(mark + 1)
+        elif kind == "TRUE" or kind == "FALSE":
+            after = tokens[mark + 1].kind
+        else:
+            after = None
+        if after is None or after in _TERM_GOES_ON:
+            depth = self.depth
+            try:
+                lhs = self.term()
+                op = tokens[self.pos].kind
+                if op == "=":
+                    self.pos += 1
+                    return Eq(lhs, self.term())
+                if op in RELATIONS:
+                    self.pos += 1
+                    return Rel(op, lhs, self.term())
+            except Diagnostic as diag:
+                if diag.message == _TOO_DEEP:
+                    raise
+                self.depth = depth
+            self.pos = mark
+        # Nest as the term reading does, so that the nesting limit falls on
+        # the same token however the input is read: a level here, one more
+        # for the arguments of a call, and one at the token after "(".
+        self.nest()
+        if kind == "TRUE" or kind == "FALSE":
+            self.pos += 1
             self.depth -= 1
-
-    def binder_name(self) -> str:
-        t = self.take("ident")
-        return t.text
-
-    def primary(self) -> Formula:
-        # try `term relop term` first, then the formula-shaped alternatives
-        mark = self.pos
-        try:
-            lhs = self.term()
-            op = self.peek().kind
-            if op == "=":
-                self.take("=")
-                return conj(Eq(lhs, self.term()))
-            if op in ("<", "<=", ">", ">=", "<>"):
-                self.take(op)
-                return conj(Rel(op, lhs, self.term()))
-        except Diagnostic as diag:
-            if diag.message == _TOO_DEEP:
-                raise
-        self.pos = mark
-        if self.at("TRUE"):
-            self.take("TRUE")
-            return conj(TRUE)
-        if self.at("FALSE"):
-            self.take("FALSE")
-            return conj(FALSE)
-        if self.at("ident") and self.tokens[self.pos + 1].kind == "(":
-            t = self.take("ident")
+            return TRUE if kind == "TRUE" else FALSE
+        if call:
+            self.pos += 1
+            self.called.add(tokens[mark].text)
             args = self.call_args()
-            return conj(Call(t.text, args))
-        if self.accept("("):
+            self.depth -= 1
+            return Call(tokens[mark].text, args)
+        if kind == "(":
+            self.pos += 1
+            self.nest()
+            self.depth -= 2
             f = self.formula()
             self.take(")")
             return f
@@ -372,37 +408,31 @@ class _Parser:
 
     def term(self) -> Term:
         self.nest()
-        try:
-            t = self.addend()
-            while self.at("+") or self.at("-"):
-                op = self.take(self.peek().kind)
-                t = App(op.kind, (t, self.addend()))
-            return t
-        finally:
-            self.depth -= 1
+        t = self.addend()
+        tokens = self.tokens
+        while (op := tokens[self.pos].kind) == "+" or op == "-":
+            self.pos += 1
+            t = App(op, (t, self.addend()))
+        self.depth -= 1
+        return t
 
     def addend(self) -> Term:
         t = self.factor()
-        while self.at("*") or self.at("div") or self.at("mod"):
-            op = self.take(self.peek().kind)
-            t = App(op.kind, (t, self.factor()))
+        tokens = self.tokens
+        while (op := tokens[self.pos].kind) in _MUL_OPS:
+            self.pos += 1
+            t = App(op, (t, self.factor()))
         return t
 
     def factor(self) -> Term:
-        if self.at("number"):
-            return IntConst(int(self.take("number").text))
-        if self.accept("-"):
-            t = self.take("number")
-            return IntConst(-int(t.text))
-        if self.at("TRUE"):
-            self.take("TRUE")
-            return BoolConst(True)
-        if self.at("FALSE"):
-            self.take("FALSE")
-            return BoolConst(False)
-        if self.at("ident"):
-            t = self.take("ident")
+        t = self.tokens[self.pos]
+        kind = t.kind
+        self.pos += 1
+        if kind == "number":
+            return IntConst(int(t.text))
+        if kind == "ident":
             if self.at("("):
+                self.called.add(t.text)
                 return _CallTerm(t.text, self.call_args(), t.line, t.col)
             if self.accept("["):
                 indices = [self.term()]
@@ -411,10 +441,15 @@ class _Parser:
                 self.take("]")
                 return ArrayRef(t.text, tuple(indices))
             return Var(t.text)
-        if self.accept("("):
+        if kind == "-":
+            return IntConst(-int(self.take("number").text))
+        if kind == "TRUE" or kind == "FALSE":
+            return BoolConst(kind == "TRUE")
+        if kind == "(":
             t = self.term()
             self.take(")")
             return t
+        self.pos -= 1
         raise self.fail("expected a term")
 
 
@@ -440,38 +475,20 @@ def _check_depth(f: Formula, where: Token) -> None:
             todo += ((part, inner) for part in (*terms, *subs))
 
 
-def _called_names(f: Formula, out: set[str]) -> None:
-    for h in f:
-        if isinstance(h, Call):
-            out.add(h.name)
-        terms, subs, _ = head_parts(h)
-        out.update(s.name for t in terms for s in subterms(t) if isinstance(s, _CallTerm))
-        for sub in subs:
-            _called_names(sub, out)
-
-
-def _check_acyclic(procs: list[tuple[ProcedureDef, Token]]) -> list[str]:
-    """Return a topological order of procedure names, or raise CYCLE."""
-    graph: dict[str, set[str]] = {}
-    where: dict[str, Token] = {}
-    for proc, tok in procs:
-        callees: set[str] = set()
-        _called_names(proc.body, callees)
-        graph[proc.name] = callees
-        where[proc.name] = tok
-    order: list[str] = []
+def _check_acyclic(callees: dict[str, set[str]], where: dict[str, Token]) -> None:
+    """Raise CYCLE if a procedure calls itself, directly or through others."""
     state: dict[str, int] = {}  # 1 = visiting, 2 = done
-    for root in graph:
+    for root in callees:
         if state.get(root) == 2:
             continue
         # depth-first with an explicit stack of (name, its callees still to
         # visit), so a long chain of calls does not recurse
         state[root] = 1
-        stack = [(root, iter(sorted(graph[root])))]
+        stack = [(root, iter(sorted(callees[root])))]
         while stack:
-            name, callees = stack[-1]
-            for callee in callees:
-                if callee not in graph or state.get(callee) == 2:
+            name, todo = stack[-1]
+            for callee in todo:
+                if callee not in callees or state.get(callee) == 2:
                     continue  # an unknown callee is reported by the sort checker
                 if state.get(callee) == 1:
                     tok = where[callee]
@@ -479,13 +496,11 @@ def _check_acyclic(procs: list[tuple[ProcedureDef, Token]]) -> list[str]:
                     cyc = " -> ".join(path[path.index(callee):] + [callee])
                     raise Diagnostic(CYCLE, f"recursive procedure cycle: {cyc}", tok.line, tok.col)
                 state[callee] = 1
-                stack.append((callee, iter(sorted(graph[callee]))))
+                stack.append((callee, iter(sorted(callees[callee]))))
                 break
             else:
                 stack.pop()
                 state[name] = 2
-                order.append(name)
-    return order
 
 
 class _SortChecker:
@@ -519,18 +534,13 @@ class _SortChecker:
             if proc is None:
                 self.err(NAME, f"unknown procedure {h.name!r}")
             if len(h.args) != len(proc.params):
-                self.err(
-                    SORT,
-                    f"procedure {h.name!r} expects {len(proc.params)} "
-                    f"argument(s), got {len(h.args)}",
-                )
+                self.err(SORT, f"procedure {h.name!r} expects {len(proc.params)} "
+                               f"argument(s), got {len(h.args)}")
             for arg, (pname, psort) in zip(h.args, proc.params):
                 got = self.term_sort(arg, env, intro)
                 if got is not psort:
                     self.err(SORT, f"argument {pname!r} of {h.name!r} needs {psort}, got {got}")
-        elif isinstance(h, (TrueAtom, FalseAtom)):
-            pass
-        elif isinstance(h, (Or, Implies, Not)):
+        elif isinstance(h, (Or, Implies, Not, TrueAtom, FalseAtom)):
             for sub in head_parts(h)[1]:
                 self.check_formula(sub, env, intro)
         elif isinstance(h, (Exists, Forall)):
@@ -555,42 +565,38 @@ class _SortChecker:
             env[var] = shadowed
 
     def term_sort(self, t: Term, env: dict[str, Scalar], intro: bool) -> Scalar:
-        if isinstance(t, IntConst):
-            return Scalar.INT
-        if isinstance(t, BoolConst):
-            return Scalar.BOOL
-        if isinstance(t, Var):
+        kind = type(t)
+        if kind is Var:
             if t.name not in env:
                 self.check_clean_name(t.name)
                 if not intro:
                     self.err(NAME, f"unknown variable {t.name!r}")
                 env[t.name] = t.sort
             return env[t.name]
-        if isinstance(t, App):
+        if kind is IntConst:
+            return Scalar.INT
+        if kind is App:
             for a in t.args:
                 if self.term_sort(a, env, intro) is not Scalar.INT:
                     self.err(SORT, f"function {t.op!r} needs integer arguments")
             return Scalar.INT
-        if isinstance(t, ArrayRef):
+        if kind is BoolConst:
+            return Scalar.BOOL
+        if kind is ArrayRef:
             decl = self.arrays.get(t.array)
             if decl is None:
                 self.err(NAME, f"unknown array {t.array!r}")
             if len(t.indices) != len(decl.ranges):
-                self.err(
-                    SORT,
-                    f"array {t.array!r} has {len(decl.ranges)} dimension(s), "
-                    f"got {len(t.indices)} index(es)",
-                )
+                self.err(SORT, f"array {t.array!r} has {len(decl.ranges)} dimension(s), "
+                               f"got {len(t.indices)} index(es)")
             for i in t.indices:
                 if self.term_sort(i, env, intro) is not Scalar.INT:
                     self.err(SORT, "array indices must be integers")
             return decl.element
-        if isinstance(t, _CallTerm):
+        if kind is _CallTerm:
             if t.name not in self.procs:
                 raise Diagnostic(NAME, f"unknown procedure {t.name!r}", t.line, t.col)
-            raise Diagnostic(
-                SORT, f"procedure {t.name!r} used as a term", t.line, t.col
-            )
+            raise Diagnostic(SORT, f"procedure {t.name!r} used as a term", t.line, t.col)
         raise TypeError(f"unknown term {t!r}")
 
     def check_clean_name(self, name: str) -> None:
@@ -630,33 +636,25 @@ def parse(source: str) -> ProgramUnit:
 
     # cycle check first: self-referential definitions are reported as cycles
     # even when the reference sits in term position.
-    _check_acyclic(proc_list)
+    _check_acyclic(parser.callees, {proc.name: tok for proc, tok in proc_list})
 
     checker = _SortChecker(arrays, procs)
     for proc, tok in proc_list:
+        # every variable of a body is a parameter or bound in it: the
+        # checker rejects any other
         checker.where = tok
-        env = dict(proc.params)
-        checker.check_formula(proc.body, env, may_introduce=False)
-        body_free = set(free_vars(proc.body))
-        loose = body_free - {p for p, _ in proc.params}
-        if loose:
-            raise Diagnostic(
-                NAME,
-                f"procedure {proc.name!r} uses undeclared variable(s) "
-                f"{', '.join(sorted(loose))}",
-                tok.line,
-                tok.col,
-            )
+        checker.check_formula(proc.body, dict(proc.params), may_introduce=False)
 
     checker.where = query_tok
     env: dict[str, Scalar] = {}
     checker.check_formula(query, env, may_introduce=True)
-    order = free_vars(query)
     return ProgramUnit(
         arrays=tuple(array_list),
         procedures=tuple(p for p, _ in proc_list),
         query=query,
-        free_vars=tuple((n, env[n]) for n in order),
+        # the free variables, by first occurrence: the checker adds each
+        # when it first meets it and removes bound ones after their scope
+        free_vars=tuple(env.items()),
     )
 
 

@@ -23,18 +23,14 @@ from typing import Iterable, Iterator
 
 from .engine import Error, Fail, Goal, Success, TraceNode
 from .formulas import (
-    FRESH_MARK,
     Cons,
     ExistsBounded,
     ForallBounded,
     Head,
     Or,
-    Term,
-    Var,
     format_head,
+    format_term,
     subst_head,
-    subst_term,
-    term_vars,
 )
 from .values import Env, Valuation, format_valuation
 
@@ -81,13 +77,6 @@ def _leaf_label(node: TraceNode) -> str:
     return f"error({leaf.cause})"
 
 
-def _printed(t: Term) -> Term:
-    """t with every engine-fresh variable (i$17) renamed to its base (i$)."""
-    fresh = {v.name: Var(v.name[: v.name.index(FRESH_MARK) + 1], v.sort)
-             for v in term_vars(t) if FRESH_MARK in v.name}
-    return subst_term(t, fresh) if fresh else t
-
-
 _BOUNDED = (ExistsBounded, ForallBounded)
 
 
@@ -109,13 +98,14 @@ def _head_key(h: Head) -> object:
 class _Labels:
     """Node formula text, put together from each goal part's (head, env) and
     kept by (_head_key(head), env, in_conj, last); it equals goal_formula's,
-    printed.  Environments are keyed as printed: an engine-fresh i$17 prints
-    as i and never collides with a printed binder name, so mapping it to i$
-    changes no text and lets the instances of one quantifier share entries.
+    printed.  Environments are keyed by the text of their terms: an
+    engine-fresh i$17 prints as i and never collides with a printed binder
+    name, so the instances of one quantifier share entries, and no key
+    hashes a term, which a run can nest deeper than the interpreter's stack.
     The memos keep alive the objects whose ids key them."""
 
     def __init__(self) -> None:
-        self.envs: dict = {}  # id(env) -> (env, printed env, its key)
+        self.envs: dict = {}  # id(env) -> (env, its key)
         self.heads: dict = {}  # (head key, env key, in_conj, last) -> (head, text)
 
     def formula(self, g: Goal | None) -> str:
@@ -123,9 +113,9 @@ class _Labels:
         while g is not None:
             env = self.envs.get(id(g.env))
             if env is None:
-                printed = {name: _printed(t) for name, t in g.env.items()}
-                env = self.envs[id(g.env)] = (g.env, printed, frozenset(printed.items()))
-            parts.extend((head, env[1], env[2]) for head in g.formula)
+                texts = frozenset((name, format_term(t)) for name, t in g.env.items())
+                env = self.envs[id(g.env)] = (g.env, texts)
+            parts.extend((head, g.env, env[1]) for head in g.formula)
             g = g.next
         last = len(parts) - 1
         return " AND ".join(

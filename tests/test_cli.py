@@ -51,6 +51,30 @@ def test_run_err_exits_two_and_prints_cause():
     assert "errors: atom-not-evaluable" in proc.stdout
 
 
+def test_run_traces_a_term_grown_deep_by_calls(tmp_path):
+    # the same 999-deep sum, printed in trace labels: the renderer keys and
+    # prints the terms of environments without recursion
+    src = "def p0(a) := a = a;\n"
+    src += "".join(f"def p{i}(a) := p{i - 1}(a + 1);\n" for i in range(1, 1000))
+    path = tmp_path / "deep.fap"
+    path.write_text(src + "query y = 0 AND p999(y);\n")
+    proc = run_cli("run", str(path), "--trace", "text")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[atom] y = 0 AND p999(y) | {}"
+    assert "] p0(y + 1 + 1 + 1" in proc.stdout
+    assert lines[-4:] == ["y=0", "status: SUCCESSFUL", "leaves: success=1 fail=0 error=0",
+                          "steps: 1003"]
+
+
+def test_a_digit_that_is_not_decimal_exits_three_with_its_position(tmp_path):
+    bad = tmp_path / "bad.fap"
+    bad.write_text("query x = ²;\n", encoding="utf-8")
+    proc = run_cli("run", str(bad))
+    assert proc.returncode == 3
+    assert proc.stderr.strip() == f"{bad}:1:11: syntax error: unexpected character '²'"
+
+
 def test_static_error_exits_three(tmp_path):
     bad = tmp_path / "bad.fap"
     bad.write_text("query x = ;\n")

@@ -1,17 +1,49 @@
+import copy
+import dataclasses
+import pickle
+from pathlib import Path
+
+import pytest
+
+import fap.formulas
+from fap.engine import solve
 from fap.formulas import (
     EMPTY,
+    FALSE,
+    TRUE,
+    And,
+    App,
+    ArrayDecl,
+    ArrayRef,
+    ArraySort,
+    BoolConst,
+    Call,
+    Cons,
+    Empty,
     Eq,
     Exists,
+    ExistsBounded,
+    FalseAtom,
+    Forall,
+    ForallBounded,
+    Implies,
     IntConst,
+    Not,
+    Or,
+    ProcedureDef,
+    ProgramUnit,
+    Rel,
     Scalar,
+    TrueAtom,
     Var,
     concat,
     conj,
     format_formula,
+    format_program,
     free_vars,
     subst_formula,
 )
-from fap.normalize import load_query
+from fap.normalize import load, load_query
 from fap.parser import parse_query
 
 
@@ -72,3 +104,90 @@ def test_quantifier_parenthesized_when_not_last():
     text = format_formula(p.query)
     assert load_query(text).query is not None
     assert text.startswith("(")
+
+
+# one node of each class in fap.formulas
+X = Var("x")
+BODY = conj(Eq(X, IntConst(1)), TRUE)
+NODES = {
+    ArraySort: ArraySort(2, Scalar.BOOL),
+    IntConst: IntConst(-3),
+    BoolConst: BoolConst(True),
+    Var: X,
+    App: App("mod", (X, IntConst(2))),
+    ArrayRef: ArrayRef("a", (X, IntConst(0))),
+    Eq: Eq(X, IntConst(1)),
+    Rel: Rel("<=", X, IntConst(1)),
+    Call: Call("p", (X,)),
+    TrueAtom: TRUE,
+    FalseAtom: FALSE,
+    Empty: EMPTY,
+    Cons: BODY,
+    Or: Or(BODY, conj(FALSE)),
+    And: And(BODY, conj(FALSE)),
+    Implies: Implies(BODY, conj(FALSE)),
+    Not: Not(BODY),
+    Exists: Exists("x", Scalar.BOOL, BODY),
+    Forall: Forall("x", Scalar.INT, BODY),
+    ExistsBounded: ExistsBounded("x", IntConst(1), Var("n"), BODY),
+    ForallBounded: ForallBounded("x", IntConst(1), Var("n"), BODY),
+    ArrayDecl: ArrayDecl("a", ((0, 2), (-1, 1)), Scalar.INT),
+    ProcedureDef: ProcedureDef("p", (("x", Scalar.INT),), BODY),
+    ProgramUnit: ProgramUnit(query=BODY, free_vars=(("x", Scalar.INT),)),
+}
+
+
+def test_every_node_class_has_a_sample():
+    classes = {c for c in vars(fap.formulas).values()
+               if isinstance(c, type) and dataclasses.is_dataclass(c)}
+    assert classes == set(NODES)
+
+
+@pytest.mark.parametrize("node", NODES.values(), ids=[c.__name__ for c in NODES])
+def test_nodes_are_frozen_values(node):
+    fields = [f.name for f in dataclasses.fields(node)]
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    again = type(node)(*(getattr(node, name) for name in fields))
+    assert again is not node and again == node and hash(again) == hash(node)
+    assert repr(node) == f"{type(node).__name__}(" + ", ".join(
+        f"{name}={getattr(node, name)!r}" for name in fields) + ")"
+
+
+def test_nodes_of_different_classes_differ():
+    assert NODES[Or] != NODES[And]
+    assert Exists("x", Scalar.INT, BODY) != NODES[Forall]
+    assert NODES[ExistsBounded] != NODES[ForallBounded]
+    assert Var("x", Scalar.BOOL) != X and Var(name="x") == Var("x", Scalar.INT)
+
+
+def test_node_reprs_are_those_of_dataclasses():
+    assert repr(NODES[App]) == (
+        "App(op='mod', args=(Var(name='x', sort=<Scalar.INT: 'int'>), IntConst(value=2)))")
+    assert repr(NODES[Cons].tail.tail) == "Empty()"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: App("^", (X, X)),
+    lambda: App("+", (X,)),
+    lambda: Rel("==", X, X),
+    lambda: ArraySort(0, Scalar.INT),
+])
+def test_post_init_checks_still_raise(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_loaded_program_round_trips(copier):
+    root = Path(__file__).resolve().parent.parent
+    program = load((root / "corpus" / "squares_5x4.fap").read_text(encoding="utf-8"))
+    result = solve(program)  # compiles the program's code, which a copy leaves out
+    copied = copier(program)
+    assert copied == program and copied is not program
+    assert format_program(copied) == format_program(program)
+    assert solve(copied) == result
