@@ -29,9 +29,9 @@ from .formulas import ProgramUnit, Scalar, format_program
 from .normalize import normalize_program
 from .oracle import GeneratorConfig, generate
 from .parser import Diagnostic, parse
-from .render import RenderOptions, render
+from .render import RenderOptions, iter_render
 from .squares import run_squares
-from .values import Valuation, Value, format_value
+from .values import Valuation, Value, format_binding
 
 EXIT_BY_STATUS = {
     TreeStatus.SUCCESSFUL: 0,
@@ -43,12 +43,8 @@ EXIT_INTERNAL = 4
 
 
 def format_solution(v: Valuation) -> str:
-    parts = [f"{n}={format_value(x)}" for n, x in sorted(v.scalars.items())]
-    parts += [
-        f"{name}[{','.join(str(i) for i in idx)}]={format_value(x)}"
-        for (name, idx), x in sorted(v.cells.items())
-    ]
-    return " ".join(parts) if parts else "(empty)"
+    items = sorted(v.scalars.items()) + sorted(v.cells.items())
+    return " ".join(format_binding(k, x, "=") for k, x in items) or "(empty)"
 
 
 def format_report(report: SolveResult) -> str:
@@ -162,9 +158,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_STATIC
     result = solve(program, initial, config)
     if args.trace is not None:
-        # the traced search runs only as far as the rendering reads it
+        # the traced search runs only as far as the text, written as it is made
         opts = RenderOptions(format=args.trace)
-        sys.stdout.write(render(iter_trace(program, initial, config), opts))
+        for chunk in iter_render(iter_trace(program, initial, config), opts):
+            sys.stdout.write(chunk)
     if args.trace == "dot":
         sys.stderr.write(format_report(result))
     elif args.trace == "text":

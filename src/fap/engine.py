@@ -46,12 +46,12 @@ leaves of their sub-trees through subtree_status (which stops at the first
 success and reports the bindings it made, read off the trail), and
 iter_trace reads every node.  A trace is a lazy preorder stream of nodes
 that runs the search only as far as it is read; each node keeps its goal and
-builds its formula (the body with the environment substituted, as a reader
-expects) only when it is asked for.  Nodes that start from the same store
-share one snapshot of it: the children of one expansion, and the children
-of an expansion that bound nothing together with their parent.  A trace
-therefore copies the store once per store state it reaches, not once per
-node.
+builds its formula (the body with the environment substituted) only when it
+is asked for.  Nodes that start from the same store share one snapshot of
+it: the children of one expansion, and the children of an expansion that
+bound nothing together with their parent.  A trace copies the store once per
+store state it reaches, and each copy but the root's is a Snapshot that
+names the copy it extends and the bindings made since.
 """
 
 from __future__ import annotations
@@ -192,35 +192,18 @@ class Goal:
     """A non-empty conjunction still to run: `formula` under `env`, then
     `next`.  None stands for the empty conjunction."""
 
-    __slots__ = ("formula", "env", "next", "_resolved")
+    __slots__ = ("formula", "env", "next")
 
     def __init__(self, formula: Cons, env: Env, next: Goal | None):
         self.formula = formula
         self.env = env
         self.next = next
-        self._resolved: Formula | None = None
 
 
 def goal(f: Formula, env: Env, next: Goal | None) -> Goal | None:
     """f under env, then next.  An empty f adds nothing, so no step is
     spent on it."""
     return Goal(f, env, next) if type(f) is Cons else next
-
-
-def goal_formula(g: Goal | None) -> Formula:
-    """The formula g stands for: each part with its environment substituted,
-    joined in order.  Cached on every goal it passes, so the nodes of a trace,
-    which share their continuations, build each part once."""
-    pending = []
-    while g is not None and g._resolved is None:
-        pending.append(g)
-        g = g.next
-    f = EMPTY if g is None else g._resolved
-    for g in reversed(pending):
-        for head in reversed(list(g.formula)):
-            f = Cons(subst_head(head, g.env), f)
-        g._resolved = f
-    return f
 
 
 @dataclass
@@ -238,8 +221,15 @@ class TraceNode:
 
     @property
     def formula(self) -> Formula | None:
-        """The remaining formula at this node; None on leaves."""
-        return None if self.leaf is not None else goal_formula(self.goal)
+        """The remaining formula at this node, each goal part with its
+        environment substituted; None on leaves."""
+        if self.leaf is not None:
+            return None
+        heads, g = [], self.goal
+        while g is not None:
+            heads += (subst_head(head, g.env) for head in g.formula)
+            g = g.next
+        return conj(*heads)
 
     def preorder(self) -> Iterator[tuple[int, TraceNode]]:
         """(depth, node) for this tree in preorder, as iter_trace yields them."""
@@ -325,8 +315,20 @@ class _State(Valuation):
             for k in self.trail[mark:]
         )
 
-    def snapshot(self) -> Valuation:
-        return Valuation(self.scalars, self.cells)
+    def snapshot(self, parent: Valuation | None = None, mark: int = 0) -> Valuation:
+        """A copy of the store; a Snapshot of it, given the one taken at mark."""
+        return (Valuation(self.scalars, self.cells) if parent is None
+                else Snapshot(self.scalars, self.cells, parent, self.bindings_since(mark)))
+
+
+class Snapshot(Valuation):
+    """A store of a trace: `parent`, the store it extends, plus `bindings`."""
+
+    __slots__ = ("parent", "bindings")
+
+    def __init__(self, scalars: dict, cells: dict, parent: Valuation, bindings: Bindings):
+        super().__init__(scalars, cells)
+        self.parent, self.bindings = parent, bindings
 
 
 # What expand() reports for the empty goal: a success leaf, whose valuation
@@ -742,7 +744,7 @@ def iter_trace(
     the node it ends.  The search runs only as far as the stream is read.  On
     budget exhaustion a step-budget error node, at the depth of the goal it
     cut, ends the stream.  Nodes expanded under the same store share one
-    snapshot of it."""
+    snapshot of it, a Snapshot of the store it extends but at the root."""
     search = _start(program, initial, config)
     state = search.state
     successes = 0
@@ -757,7 +759,8 @@ def iter_trace(
         yield depth, TraceNode(tag, goal=g, valuation=stores[depth])
         if type(outcome) is tuple:
             del stores[depth + 1:]
-            stores.append(stores[depth] if state.mark() == mark else state.snapshot())
+            parent = stores[depth]
+            stores.append(parent if state.mark() == mark else state.snapshot(parent, mark))
             continue
         leaf = search._leaf(outcome)
         valuation = leaf.valuation if outcome is _SUCCEEDED else None

@@ -461,9 +461,9 @@ _TERM_ADD, _TERM_MUL, _TERM_ATOM = 1, 2, 3
 _MUL_OPS = ("*", "div", "mod")
 
 
-def format_term(t: Term) -> str:
-    """t as text, printed with a stack: a term built at run time can nest
-    deeper than the interpreter's stack."""
+def format_term(t: Term, names: Mapping[str, str] | None = None) -> str:
+    """t as text, each variable by its name in `names`, else its surface name.
+    A stack, not recursion: a term built at run time can nest arbitrarily."""
     out: list[str] = []
     todo: list = [(t, _TERM_ADD)]  # (term, level) and text still to print, last first
     while todo:
@@ -478,7 +478,8 @@ def format_term(t: Term) -> str:
         elif isinstance(t, BoolConst):
             out.append("TRUE" if t.value else "FALSE")
         elif isinstance(t, Var):
-            out.append(_surface_name(t.name))
+            name = names.get(t.name) if names else None
+            out.append(name or _surface_name(t.name))
         elif isinstance(t, ArrayRef):
             todo.append("]")
             for i in range(len(t.indices) - 1, -1, -1):
@@ -499,83 +500,102 @@ def _surface_name(name: str) -> str:
 
 def format_formula(f: Formula) -> str:
     """f as surface text."""
-    heads = list(f)
-    last = len(heads) - 1
-    parts = (format_head(h, last > 0, i == last) for i, h in enumerate(heads))
-    return " AND ".join(parts) or "TRUE"
-
-
-def _fmt_operand(f: Formula) -> str:
-    """An operand of OR / ->: parenthesized unless it is a single tight head."""
-    heads = list(f)
-    if len(heads) == 1 and isinstance(
-        heads[0], (Atom, Not, ExistsBounded, ForallBounded)
-    ):
-        return format_head(heads[0], in_conj=False, last=True)
-    return f"({format_formula(f)})"
+    return _Printer().formula(f)
 
 
 def format_head(h: Head, in_conj: bool, last: bool) -> str:
     """One conjunct as text, `in_conj` among others and `last` among them."""
-    if isinstance(h, Eq):
-        return f"{format_term(h.lhs)} = {format_term(h.rhs)}"
-    if isinstance(h, Rel):
-        return f"{format_term(h.lhs)} {h.op} {format_term(h.rhs)}"
-    if isinstance(h, Call):
-        return f"{h.name}({', '.join(format_term(a) for a in h.args)})"
-    if isinstance(h, TrueAtom):
-        return "TRUE"
-    if isinstance(h, FalseAtom):
-        return "FALSE"
-    if isinstance(h, Or):
-        # right-nested ORs print flat; anything else gets parens
-        parts = [_fmt_operand(h.left)]
-        rest: Formula | Head = h
-        while True:
-            right = rest.right  # type: ignore[union-attr]
-            rheads = list(right)
-            if len(rheads) == 1 and isinstance(rheads[0], Or):
-                parts.append(_fmt_operand(rheads[0].left))
-                rest = rheads[0]
-            else:
-                parts.append(_fmt_operand(right))
-                break
-        text = " OR ".join(parts)
-        return f"({text})" if in_conj else text
-    if isinstance(h, And):
-        text = f"({format_formula(h.left)}) AND ({format_formula(h.right)})"
-        return f"({text})" if in_conj else text
-    if isinstance(h, Implies):
-        text = f"{_fmt_operand(h.antecedent)} -> {_fmt_operand(h.consequent)}"
-        return f"({text})" if in_conj else text
-    if isinstance(h, Not):
-        return f"NOT {_fmt_operand(h.body)}"
-    if isinstance(h, (Exists, Forall)):
-        name, body = format_scope(h.var, h.body)
-        kw = "EXISTS" if isinstance(h, Exists) else "FORALL"
-        ann = "" if h.sort is Scalar.INT else f" : {h.sort}"
-        text = f"{kw} {name}{ann} . {body}"
-        # quantifier scope runs maximally right: parenthesize unless final
-        return f"({text})" if in_conj and not last else text
-    if isinstance(h, (ExistsBounded, ForallBounded)):
-        name, body = format_scope(h.var, h.body)
-        kw = "SOME" if isinstance(h, ExistsBounded) else "FOR"
-        return f"{kw} {name} := {format_term(h.lo)} TO {format_term(h.hi)} DO {body} END"
-    raise TypeError(f"unknown head {h!r}")
+    return _Printer().head(h, in_conj, last)
 
 
-def format_scope(var: str, body: Formula) -> tuple[str, str]:
-    """The printed name of a binder of var over body, avoiding capture, and
-    the text of the body under that name."""
-    base = _surface_name(var)
-    taken = {_surface_name(n) for n in free_vars(body) if n != var}
-    name, n = base, 1
-    while name in taken:
-        n += 1
-        name = f"{base}_{n}"
-    if name != var:
-        body = subst_formula(body, {var: Var(name)})
-    return name, format_formula(body)
+class _Printer:
+    """Text of one formula.  A binder prints as its surface name, or the first
+    name_2, name_3, ... that no variable free in its body prints as.  The
+    printed names of the binders around the text (`names`) and each head's
+    free variables, found once (`free`), make a binder cost its own text."""
+
+    def __init__(self) -> None:
+        self.names: dict[str, str] = {}
+        self.free: dict[int, set[str]] = {}  # id(head) -> its free variables
+
+    def formula(self, f: Formula) -> str:
+        heads = list(f)
+        last = len(heads) - 1
+        parts = (self.head(h, last > 0, i == last) for i, h in enumerate(heads))
+        return " AND ".join(parts) or "TRUE"
+
+    def operand(self, f: Formula) -> str:
+        """An operand of OR / ->: parenthesized unless it is a single tight head."""
+        heads = list(f)
+        if len(heads) == 1 and isinstance(heads[0], (Atom, Not, ExistsBounded, ForallBounded)):
+            return self.head(heads[0], in_conj=False, last=True)
+        return f"({self.formula(f)})"
+
+    def head(self, h: Head, in_conj: bool, last: bool) -> str:
+        names = self.names
+        if isinstance(h, Eq):
+            return f"{format_term(h.lhs, names)} = {format_term(h.rhs, names)}"
+        if isinstance(h, Rel):
+            return f"{format_term(h.lhs, names)} {h.op} {format_term(h.rhs, names)}"
+        if isinstance(h, Call):
+            return f"{h.name}({', '.join(format_term(a, names) for a in h.args)})"
+        if isinstance(h, (TrueAtom, FalseAtom)):
+            return "TRUE" if isinstance(h, TrueAtom) else "FALSE"
+        if isinstance(h, Or):
+            # right-nested ORs print flat; anything else gets parens
+            parts, rest = [self.operand(h.left)], h.right
+            while type(rest) is Cons and type(rest.tail) is Empty and type(rest.head) is Or:
+                parts.append(self.operand(rest.head.left))
+                rest = rest.head.right
+            parts.append(self.operand(rest))
+            text = " OR ".join(parts)
+            return f"({text})" if in_conj else text
+        if isinstance(h, And):
+            text = f"({self.formula(h.left)}) AND ({self.formula(h.right)})"
+            return f"({text})" if in_conj else text
+        if isinstance(h, Implies):
+            text = f"{self.operand(h.antecedent)} -> {self.operand(h.consequent)}"
+            return f"({text})" if in_conj else text
+        if isinstance(h, Not):
+            return f"NOT {self.operand(h.body)}"
+        if isinstance(h, (Exists, Forall)):
+            name, body = self.scope(h.var, h.body)
+            kw = "EXISTS" if isinstance(h, Exists) else "FORALL"
+            ann = "" if h.sort is Scalar.INT else f" : {h.sort}"
+            text = f"{kw} {name}{ann} . {body}"
+            # quantifier scope runs maximally right: parenthesize unless final
+            return f"({text})" if in_conj and not last else text
+        if isinstance(h, (ExistsBounded, ForallBounded)):
+            name, body = self.scope(h.var, h.body)
+            kw = "SOME" if isinstance(h, ExistsBounded) else "FOR"
+            lo, hi = format_term(h.lo, names), format_term(h.hi, names)
+            return f"{kw} {name} := {lo} TO {hi} DO {body} END"
+        raise TypeError(f"unknown head {h!r}")
+
+    def scope(self, var: str, body: Formula) -> tuple[str, str]:
+        """The printed name of a binder of var over body, and the body's text."""
+        names = self.names
+        taken = {names.get(n) or _surface_name(n) for n in self.free_in(body) if n != var}
+        base = _surface_name(var)
+        name, n = base, 1
+        while name in taken:
+            n += 1
+            name = f"{base}_{n}"
+        outer, names[var] = names.get(var, base), name
+        text = self.formula(body)
+        names[var] = outer  # a name absent from names prints as its surface name
+        return name, text
+
+    def free_in(self, f: Formula) -> set[str]:
+        out: set[str] = set()
+        for h in f:
+            if id(h) not in self.free:
+                terms, subs, var = head_parts(h)
+                inner = set().union(*map(self.free_in, subs)) - {var}
+                self.free[id(h)] = inner.union(
+                    v.name for t in terms for v in subterms(t) if type(v) is Var)
+            out |= self.free[id(h)]
+        return out
 
 
 def format_program(p: ProgramUnit) -> str:

@@ -1,12 +1,12 @@
 """Render computation trees as indented text or as a DOT digraph.
 
 A tree is a TraceNode or the preorder stream of (depth, node) that
-engine.iter_trace yields; rendering reads one node past the node budget and
-stops, so a streamed search goes no further than the output.  Text labels
-are built from each goal's heads and environment (_Labels), not from the
-substituted formula.  The engine shares one valuation snapshot among the
-nodes that start from the same store, so a valuation seen moments ago is
-printed from its text, not formatted again (_Valuations).
+engine.iter_trace yields.  iter_render turns it into a stream of text and
+reads one node past the node budget and stops, so a streamed search goes no
+further than the output; render joins the same stream.  Text labels are
+built from each goal's heads and environment (_Labels), not from the
+substituted formula, and a store's valuation from the text of the store it
+extends plus the bindings made since (_Valuations, engine.Snapshot).
 
 Both renderings are deterministic (byte-identical for identical trees), list
 leaves in the tree's left-to-right order, and cap output at a node budget
@@ -18,10 +18,11 @@ error=octagon).
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .engine import Error, Fail, Goal, Success, TraceNode
+from .engine import Error, Fail, Goal, Snapshot, Success, TraceNode
 from .formulas import (
     Cons,
     ExistsBounded,
@@ -32,24 +33,19 @@ from .formulas import (
     format_term,
     subst_head,
 )
-from .values import Env, Valuation, format_valuation
-
-
-class RenderFormat:
-    TEXT = "text"
-    DOT = "dot"
+from .values import Env, Valuation, format_binding, format_valuation, valuation_entries
 
 
 @dataclass(frozen=True)
 class RenderOptions:
-    format: str = RenderFormat.TEXT
+    format: str = "text"  # or "dot"
     max_nodes: int = 10_000
     show_valuations: bool = True
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        if self.format not in (RenderFormat.TEXT, RenderFormat.DOT):
+        if self.format not in ("text", "dot"):
             raise ValueError(f"unknown format {self.format!r}")
 
 
@@ -57,10 +53,25 @@ class RenderOptions:
 Trace = TraceNode | Iterable[tuple[int, TraceNode]]
 
 
+# Chunks but the last hold at least this many characters: each write costs.
+CHUNK_CHARS = 256 * 1024
+
+
+def iter_render(t: Trace, opts: RenderOptions = RenderOptions()) -> Iterator[str]:
+    """The rendering of t in chunks of whole lines; t is read only as far as
+    the output goes."""
+    chunk, size = [], 0
+    for line in _dot_lines(t, opts) if opts.format == "dot" else _text_lines(t, opts):
+        chunk.append(line)
+        size += len(line)
+        if size >= CHUNK_CHARS:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    yield "".join(chunk)
+
+
 def render(t: Trace, opts: RenderOptions = RenderOptions()) -> str:
-    if opts.format == RenderFormat.DOT:
-        return render_dot(t, opts)
-    return render_text(t, opts)
+    return "".join(iter_render(t, opts))
 
 
 def _preorder(t: Trace) -> Iterator[tuple[int, TraceNode]]:
@@ -97,7 +108,7 @@ def _head_key(h: Head) -> object:
 
 class _Labels:
     """Node formula text, put together from each goal part's (head, env) and
-    kept by (_head_key(head), env, in_conj, last); it equals goal_formula's,
+    kept by (_head_key(head), env, in_conj, last); it equals TraceNode.formula,
     printed.  Environments are keyed by the text of their terms: an
     engine-fresh i$17 prints as i and never collides with a printed binder
     name, so the instances of one quantifier share entries, and no key
@@ -133,46 +144,56 @@ class _Labels:
 
 
 class _Valuations:
-    """format_valuation, remembering the texts of the last two distinct
-    valuations it was given, by identity.  Nodes that start from the same
-    store share one snapshot: siblings, and the children of a node that
-    bound nothing.  In preorder a sibling comes after its elder's subtree,
-    so a valuation mostly recurs after at most one other; two slots catch
-    that and keep memory bounded, unlike a memo over the whole render."""
+    """Valuation text.  In preorder a node's store is on the path to the last
+    node or extends one on it by a few bindings (an engine.Snapshot).  Stores
+    on the path keep their sorted keys, entry texts and text, and a Snapshot
+    is printed from its parent's with its bindings put in place; any other
+    valuation (the root's, a hand-built tree's) is formatted whole."""
 
     def __init__(self) -> None:
-        self.last = self.prev = (None, "")  # (valuation, its text)
+        self.path: list[tuple[Valuation, list, list[str], str]] = []
 
     def text(self, v: Valuation) -> str:
-        if self.last[0] is not v:
-            if self.prev[0] is v:
-                self.last, self.prev = self.prev, self.last
-            else:
-                self.last, self.prev = (v, format_valuation(v)), self.last
-        return self.last[1]
+        path = self.path
+        parent = v.parent if type(v) is Snapshot else None
+        for i in range(len(path) - 1, -1, -1):
+            w, keys, texts, text = path[i]
+            if w is v or w is parent:
+                del path[i + 1:]
+                if w is v:
+                    return text
+                keys, texts = keys.copy(), texts.copy()
+                for key, value in v.bindings:
+                    k = (0, key) if type(key) is str else (1, key)  # as valuation_entries
+                    j = bisect(keys, k)
+                    keys.insert(j, k)
+                    texts.insert(j, format_binding(key, value))
+                break
+        else:
+            path.clear()
+            keys, texts = valuation_entries(v)
+        text = "{" + ", ".join(texts) + "}"
+        path.append((v, keys, texts, text))
+        return text
 
 
-def _node_label(
-    node: TraceNode, opts: RenderOptions, labels: _Labels, valuations: _Valuations
-) -> str:
-    if node.leaf is not None:
-        return _leaf_label(node)
-    text = f"[{node.tag}] {labels.formula(node.goal)}"
-    if opts.show_valuations:
-        text += f" | {valuations.text(node.valuation)}"
-    return text
-
-
-def render_text(t: Trace, opts: RenderOptions = RenderOptions()) -> str:
-    lines: list[str] = []
-    labels = _Labels()
-    valuations = _Valuations()
+def _text_lines(t: Trace, opts: RenderOptions) -> Iterator[str]:
+    labels, valuations = _Labels(), _Valuations()
+    i = -1
     for i, (depth, node) in enumerate(_preorder(t)):
+        indent = "  " * depth
         if i == opts.max_nodes:
-            lines.append("  " * depth + "... (truncated)")
-            break
-        lines.append("  " * depth + _node_label(node, opts, labels, valuations))
-    return "\n".join(lines) + "\n"
+            yield indent + "... (truncated)\n"
+            return
+        if node.leaf is not None:
+            yield indent + _leaf_label(node) + "\n"
+            continue
+        line = f"{indent}[{node.tag}] {labels.formula(node.goal)}"
+        if opts.show_valuations:
+            line += f" | {valuations.text(node.valuation)}"
+        yield line + "\n"
+    if i < 0:  # an empty stream renders as one empty line
+        yield "\n"
 
 
 _SHAPES = {Success: "box", Fail: "diamond", Error: "octagon"}
@@ -182,28 +203,24 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def render_dot(t: Trace, opts: RenderOptions = RenderOptions()) -> str:
-    lines = ["digraph computation {"]
+def _dot_lines(t: Trace, opts: RenderOptions) -> Iterator[str]:
+    yield "digraph computation {\n"
     valuations = _Valuations()
     path: list[int] = []  # ids of the nodes from the root to the last one
     for nid, (depth, node) in enumerate(_preorder(t)):
         del path[depth:]
+        edge = f"  n{path[-1]} -> n{nid};\n" if path else ""
         if nid == opts.max_nodes:
-            lines.append(f'  n{nid} [label="(truncated)", shape=plaintext];')
-            if path:
-                lines.append(f"  n{path[-1]} -> n{nid};")
+            yield f'  n{nid} [label="(truncated)", shape=plaintext];\n' + edge
             break
         if node.leaf is not None:
             # a success box shows the valuation alone
             label = _dot_escape(_leaf_label(node).removeprefix("success "))
-            lines.append(f'  n{nid} [label="{label}", shape={_SHAPES[type(node.leaf)]}];')
+            yield f'  n{nid} [label="{label}", shape={_SHAPES[type(node.leaf)]}];\n' + edge
         else:
             label = _dot_escape(node.tag)
             if opts.show_valuations:
                 label += "\\n" + _dot_escape(valuations.text(node.valuation))
-            lines.append(f'  n{nid} [label="{label}"];')
-        if path:
-            lines.append(f"  n{path[-1]} -> n{nid};")
+            yield f'  n{nid} [label="{label}"];\n' + edge
         path.append(nid)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "}\n"

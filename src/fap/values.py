@@ -128,19 +128,23 @@ class Valuation:
 EMPTY_VALUATION = Valuation()
 
 
-def format_value(v: Value) -> str:
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
-    return str(v)
+def format_binding(key: str | Cell, v: Value, sep: str = "/") -> str:
+    """One entry of a printed valuation: x/1 or a[1,2]/TRUE."""
+    text = ("TRUE" if v else "FALSE") if type(v) is bool else str(v)
+    if type(key) is str:
+        return f"{key}{sep}{text}"
+    return f"{key[0]}[{','.join(map(str, key[1]))}]{sep}{text}"
+
+
+def valuation_entries(a: Valuation) -> tuple[list[tuple], list[str]]:
+    """a's keys in printing order, (0, name) then (1, cell), and each entry's text."""
+    items = sorted([((0, k), v) for k, v in a.scalars.items()]
+                   + [((1, k), v) for k, v in a.cells.items()])
+    return [k for k, _ in items], [format_binding(k[1], v) for k, v in items]
 
 
 def format_valuation(a: Valuation) -> str:
-    parts = [f"{n}/{format_value(v)}" for n, v in sorted(a.scalars.items())]
-    parts += [
-        f"{name}[{','.join(str(i) for i in idx)}]/{format_value(v)}"
-        for (name, idx), v in sorted(a.cells.items())
-    ]
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(valuation_entries(a)[1]) + "}"
 
 
 # ---------------------------------------------------------------------------

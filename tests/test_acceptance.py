@@ -31,7 +31,7 @@ from fap.oracle import (
     oracle_valid,
 )
 from fap.parser import parse
-from fap.render import RenderFormat, RenderOptions, render
+from fap.render import RenderOptions, render
 from fap.values import EMPTY_VALUATION, Valuation
 
 DOMAIN = FiniteDomain(0, 4)
@@ -420,7 +420,7 @@ def _library_digest() -> str:
     result = solve(program)
     parts.append(repr(result.leaves))
     parts.append(render(trace(program), RenderOptions()))
-    parts.append(render(trace(program), RenderOptions(format=RenderFormat.DOT)))
+    parts.append(render(trace(program), RenderOptions(format="dot")))
     for seed in range(300):
         pu = normalize_program(generate(GeneratorConfig(seed=seed, domain=DOMAIN)))
         r = solve(pu)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import fap.formulas
-from fap.engine import solve
+from fap.engine import iter_trace, solve
 from fap.formulas import (
     EMPTY,
     FALSE,
@@ -45,6 +45,7 @@ from fap.formulas import (
 )
 from fap.normalize import load, load_query
 from fap.parser import parse_query
+from fap.render import render
 
 
 def test_free_vars_of_formula1():
@@ -97,6 +98,48 @@ def test_binder_printing_avoids_capture():
     (eq,) = list(h.body)
     assert isinstance(eq, Eq)
     assert eq.lhs != eq.rhs  # the free y was not captured
+
+
+def test_nested_binders_print_under_one_renaming():
+    y1 = lambda body: conj(Exists("y$1", Scalar.INT, body))  # noqa: E731
+    # y$1 prints as y, so y$2 must not: the y$1 free inside it prints as y
+    f = y1(conj(Eq(Var("y$1"), Var("z")),
+                Exists("y$2", Scalar.INT, conj(Eq(Var("y$2"), Var("y$1"))))))
+    assert format_formula(f) == "EXISTS y . y = z AND EXISTS y_2 . y_2 = y"
+    # a binder named y inside one printed as y is renamed too
+    g = y1(conj(Exists("y", Scalar.INT, conj(Eq(Var("y"), Var("y$1"))))))
+    assert format_formula(g) == "EXISTS y . EXISTS y_2 . y_2 = y"
+    # a binder that shadows another takes its own name in its body only
+    h = conj(Exists("x", Scalar.INT, conj(
+        Exists("x", Scalar.INT, conj(Eq(Var("x"), IntConst(1)))), Eq(Var("x"), Var("x$7")))))
+    assert format_formula(h) == "EXISTS x_2 . (EXISTS x . x = 1) AND x_2 = x"
+
+
+def test_trace_labels_take_linear_work_in_binder_nesting(monkeypatch):
+    # each label prints the goal's binders once; the printer must not walk
+    # the body of each binder it prints again
+    calls = 0
+
+    def counting(real):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        return wrapper
+
+    def work(k: int) -> tuple[int, int]:
+        nonlocal calls
+        program = load_query("".join(f"EXISTS y{i} . " for i in range(k)) + "y0 = 1")
+        calls = 0
+        text = render(iter_trace(program))
+        return calls, len(text)
+
+    monkeypatch.setattr(fap.formulas._Printer, "head", counting(fap.formulas._Printer.head))
+    monkeypatch.setattr(fap.formulas, "head_parts", counting(fap.formulas.head_parts))
+    (work35, bytes35), (work140, bytes140) = work(35), work(140)
+    # four times the nesting: about 15x the output, and 60x the work when
+    # each binder walks its body
+    assert work140 / work35 <= 1.2 * bytes140 / bytes35
 
 
 def test_quantifier_parenthesized_when_not_last():

@@ -6,7 +6,7 @@ from fap.engine import solve, trace
 from fap.formulas import EMPTY, ProgramUnit
 from fap.normalize import load_query, normalize_program
 from fap.oracle import GeneratorConfig, generate
-from fap.render import RenderFormat, RenderOptions, render
+from fap.render import RenderOptions, render
 
 FORMULA1 = "(x = 2 OR x = 3) AND (y = x + 1 OR 2 = y) AND 2 * x = 3 * y"
 
@@ -26,7 +26,7 @@ def test_text_rendering_lists_leaves_in_order():
 
 
 def test_dot_rendering_shapes_and_success_label():
-    dot = render(formula1_trace(), RenderOptions(format=RenderFormat.DOT))
+    dot = render(formula1_trace(), RenderOptions(format="dot"))
     assert dot.startswith("digraph")
     assert dot.count("shape=box") == 1
     assert dot.count("shape=diamond") == 3
@@ -34,13 +34,13 @@ def test_dot_rendering_shapes_and_success_label():
 
 
 def test_dot_is_plain_digraph():
-    dot = render(formula1_trace(), RenderOptions(format=RenderFormat.DOT))
+    dot = render(formula1_trace(), RenderOptions(format="dot"))
     for line in dot.splitlines():
         assert not line.startswith(("subgraph", "rankdir", "graph ["))
 
 
 def test_dot_node_ids_are_preorder_and_referenced_once_defined():
-    dot = render(formula1_trace(), RenderOptions(format=RenderFormat.DOT))
+    dot = render(formula1_trace(), RenderOptions(format="dot"))
     defined = re.findall(r"^\s*n(\d+) \[", dot, re.M)
     assert defined == [str(i) for i in range(len(defined))]
     for a, b in re.findall(r"n(\d+) -> n(\d+)", dot):
@@ -51,14 +51,14 @@ def test_empty_query_renders_two_nodes():
     t = trace(ProgramUnit(query=EMPTY, normalized=True))
     text = render(t, RenderOptions())
     assert len(text.strip().splitlines()) == 2
-    dot = render(t, RenderOptions(format=RenderFormat.DOT))
+    dot = render(t, RenderOptions(format="dot"))
     assert dot.count("label=") == 2
 
 
 def test_max_nodes_truncates_with_marker():
     text = render(formula1_trace(), RenderOptions(max_nodes=3))
     assert "(truncated)" in text
-    dot = render(formula1_trace(), RenderOptions(format=RenderFormat.DOT, max_nodes=3))
+    dot = render(formula1_trace(), RenderOptions(format="dot", max_nodes=3))
     assert '"(truncated)"' in dot
 
 
@@ -73,7 +73,7 @@ def test_format_must_be_known():
 
 
 def test_rendering_is_deterministic():
-    for fmt in (RenderFormat.TEXT, RenderFormat.DOT):
+    for fmt in ("text", "dot"):
         a = render(formula1_trace(), RenderOptions(format=fmt))
         b = render(formula1_trace(), RenderOptions(format=fmt))
         assert a == b
@@ -83,7 +83,7 @@ def test_dot_leaf_sequence_matches_solve():
     shapes = {"box": "Success", "diamond": "Fail", "octagon": "Error"}
     for seed in range(60):
         pu = normalize_program(generate(GeneratorConfig(seed=seed)))
-        dot = render(trace(pu), RenderOptions(format=RenderFormat.DOT))
+        dot = render(trace(pu), RenderOptions(format="dot"))
         got = [
             shapes[m]
             for m in re.findall(r"shape=(box|diamond|octagon)", dot)
