@@ -7,14 +7,17 @@
 Exit codes: 0 the query succeeded, 1 it failed, 2 it was undetermined
 (error leaves or step budget), 3 a static error (syntax/sort/cycle/name or
 bad bindings), 4 an internal error: fap itself crashed, and the one-line
-`internal error:` message on stderr names the exception.
+`internal error:` message on stderr names the exception.  A reader that
+closes stdout early (`| head`) changes no exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+from typing import Iterable
 
 from .engine import (
     EngineConfig,
@@ -157,18 +160,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATIC
     result = solve(program, initial, config)
+    report = format_report(result)
     if args.trace is not None:
         # the traced search runs only as far as the text, written as it is made
         opts = RenderOptions(format=args.trace)
-        for chunk in iter_render(iter_trace(program, initial, config), opts):
-            sys.stdout.write(chunk)
+        write_out(iter_render(iter_trace(program, initial, config), opts))
     if args.trace == "dot":
-        sys.stderr.write(format_report(result))
-    elif args.trace == "text":
-        sys.stdout.write("\n" + format_report(result))
+        sys.stderr.write(report)
     else:
-        sys.stdout.write(format_report(result))
+        write_out(["\n" + report if args.trace == "text" else report])
     return EXIT_BY_STATUS[result.status]
+
+
+def write_out(texts: Iterable[str]) -> None:
+    """Write texts to stdout and flush it.  A reader that closes the pipe
+    early chose to; the rest goes to os.devnull (as the signal docs advise)."""
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -178,7 +189,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        write_out([text])
     return 0
 
 
@@ -208,8 +219,7 @@ def cmd_squares(args: argparse.Namespace) -> int:
         )
         lines.append(f"placement: {placed}")
         lines.append("verified: coverage and disjointness hold")
-    sys.stdout.write(("\n".join(lines) + "\n") if lines else "")
-    sys.stdout.write(format_report(report.result))
+    write_out([("\n".join(lines) + "\n") if lines else "", format_report(report.result)])
     return EXIT_BY_STATUS[report.result.status]
 
 

@@ -56,7 +56,6 @@ names the copy it extends and the bindings made since.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -85,6 +84,7 @@ from .formulas import (
     conj,
     free_vars,
     head_parts,
+    record,
     subst_head,
     subterms,
 )
@@ -135,7 +135,7 @@ class ImplicationMode(Enum):
     COMBINED = "combined"
 
 
-@dataclass(frozen=True)
+@record
 class EngineConfig:
     negation: NegationMode = NegationMode.STRICT
     implication: ImplicationMode = ImplicationMode.STRICT
@@ -153,17 +153,17 @@ class EngineConfig:
             raise ValueError("solution_limit must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class Success:
     valuation: Valuation
 
 
-@dataclass(frozen=True)
+@record
 class Fail:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Error:
     cause: str
 
@@ -171,6 +171,9 @@ class Error:
 Leaf = Success | Fail | Error
 
 FAIL = Fail()
+# One error leaf per cause, shared: a search can end in thousands of them.
+ERRORS = {cause: Error(cause) for cause in (ATOM_NOT_EVALUABLE, NEGAND_UNDETERMINED,
+          ANTECEDENT_UNDETERMINED, UNBOUNDED_RANGE, EVALUATION_FAULT, STEP_BUDGET)}
 _LEAF_TAGS = {Success: "success", Fail: "fail", Error: "error"}
 
 
@@ -206,7 +209,7 @@ def goal(f: Formula, env: Env, next: Goal | None) -> Goal | None:
     return Goal(f, env, next) if type(f) is Cons else next
 
 
-@dataclass
+@record(frozen=False)
 class TraceNode:
     """One node of the materialized computation tree.  Internal nodes carry
     the goal that was expanded, the valuation it was expanded under and the
@@ -216,8 +219,12 @@ class TraceNode:
     tag: str
     goal: Goal | None = None
     valuation: Valuation | None = None
-    children: list["TraceNode"] = field(default_factory=list)
+    children: list["TraceNode"] | None = None  # a new list when not given
     leaf: Leaf | None = None
+
+    def __post_init__(self) -> None:
+        if self.children is None:
+            self.children = []
 
     @property
     def formula(self) -> Formula | None:
@@ -246,7 +253,7 @@ class TraceNode:
         return sum(1 for _ in self.preorder())
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     leaves: tuple[Leaf, ...]
     status: TreeStatus
@@ -258,10 +265,8 @@ class SolveResult:
 
     @property
     def leaf_counts(self) -> tuple[int, int, int]:
-        s = sum(1 for l in self.leaves if isinstance(l, Success))
-        f = sum(1 for l in self.leaves if isinstance(l, Fail))
-        e = sum(1 for l in self.leaves if isinstance(l, Error))
-        return (s, f, e)
+        kinds = [type(l) for l in self.leaves]
+        return kinds.count(Success), kinds.count(Fail), kinds.count(Error)
 
     @property
     def error_causes(self) -> tuple[str, ...]:
@@ -337,7 +342,7 @@ _SUCCEEDED = object()
 
 # What walk() yields for the goal a step budget cut: the error leaf that
 # ends the tree.
-_CUT = Error(STEP_BUDGET)
+_CUT = ERRORS[STEP_BUDGET]
 
 # expand() returns (rule tag, outcome): a tuple of child goals, FAIL, an
 # Error, or _SUCCEEDED.  Bindings the rule made are already on the trail, and
@@ -349,10 +354,8 @@ class _Search:
     def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation):
         self.cfg = config
         self.code = program.code
-        self.procedures = {p.name: p for p in program.procedures}
         self.fresh = FreshNames(program.fresh_base)
         self.steps = 0
-        self.free = frozenset(program.free_var_names())
         self.state = _State(initial)
 
     # -- the depth-first driver ---------------------------------------------
@@ -393,7 +396,7 @@ class _Search:
         state = self.state
         if self.cfg.report_internal_bindings:
             return Success(state.snapshot())
-        free = self.free
+        free = self.code.free
         kept = {k: v for k, v in state.scalars.items() if k in free}
         return Success(Valuation(kept, state.cells))
 
@@ -428,7 +431,7 @@ class _Search:
                 self.state.push_cell(cls.target, cls.value)
             return "atom", (rest,)
         cause = EVALUATION_FAULT if cls.fault is not None else ATOM_NOT_EVALUABLE
-        return "atom", Error(cause)
+        return "atom", ERRORS[cause]
 
     def _expand_or(self, head: Or, env: Env, rest: Goal | None) -> Expansion:
         return "disjunction", (goal(head.left, env, rest), goal(head.right, env, rest))
@@ -447,7 +450,7 @@ class _Search:
 
     def _call(self, head: Call) -> tuple:
         """(parameter names, argument resolvers, body) of a call."""
-        proc = self.procedures.get(head.name)
+        proc = self.code.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
         params = tuple(name for name, _ in proc.params)
@@ -456,7 +459,7 @@ class _Search:
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
         closed = self.formula_closed(head.body, env)
         if self.cfg.negation is NegationMode.STRICT and not closed:
-            return "negation", Error(NEGAND_UNDETERMINED)
+            return "negation", ERRORS[NEGAND_UNDETERMINED]
         tag = "negation" if closed else "liberal-negation"
         status, bindings = self.subtree_status(goal(head.body, env, None))
         if status is TreeStatus.FAILED:
@@ -464,8 +467,7 @@ class _Search:
         if status is TreeStatus.SUCCESSFUL:
             if closed or self._witness_clean(head.body, env, bindings):
                 return tag, FAIL
-            return tag, Error(NEGAND_UNDETERMINED)
-        return tag, Error(NEGAND_UNDETERMINED)
+        return tag, ERRORS[NEGAND_UNDETERMINED]
 
     def _expand_implies(self, head: Implies, env: Env, rest: Goal | None) -> Expansion:
         mode = self.cfg.implication
@@ -476,15 +478,14 @@ class _Search:
 
     def _implies_strict(self, head: Implies, env: Env, rest: Goal | None) -> Expansion:
         if self.cfg.pedantic and not self.formula_closed(head.antecedent, env):
-            return "implication", Error(ANTECEDENT_UNDETERMINED)
+            return "implication", ERRORS[ANTECEDENT_UNDETERMINED]
         status, bindings = self.subtree_status(goal(head.antecedent, env, None))
         if status is TreeStatus.FAILED:
             return "implication", (rest,)
         if status is TreeStatus.SUCCESSFUL:
             if self.cfg.pedantic or self._witness_clean(head.antecedent, env, bindings):
                 return "implication", (goal(head.consequent, env, rest),)
-            return "implication", Error(ANTECEDENT_UNDETERMINED)
-        return "implication", Error(ANTECEDENT_UNDETERMINED)
+        return "implication", ERRORS[ANTECEDENT_UNDETERMINED]
 
     def _expand_bounded(
         self, head: ExistsBounded | ForallBounded, env: Env, rest: Goal | None
@@ -495,9 +496,9 @@ class _Search:
             lo = try_eval_term(head.lo, self.state, self.code, env)
             hi = try_eval_term(head.hi, self.state, self.code, env)
         except EvalFault:
-            return tag, Error(EVALUATION_FAULT)
+            return tag, ERRORS[EVALUATION_FAULT]
         if lo is None or hi is None:
-            return tag, Error(UNBOUNDED_RANGE)
+            return tag, ERRORS[UNBOUNDED_RANGE]
         if lo > hi:
             if exists:
                 return tag, FAIL
@@ -578,7 +579,7 @@ class _Search:
                 if not check(env, scalars, cells):
                     return False
             for name, args, inner in calls:
-                proc = self.procedures.get(name)
+                proc = code.procedures.get(name)
                 if proc is None:
                     return False
                 callee = {p: arg(env) for (p, _), arg in zip(proc.params, args)}
@@ -654,12 +655,12 @@ def _start(
         raise ValueError("program must be normalized before execution")
     search = _Search(program, config, initial)
     if check:
-        _check_initial(program, initial, search.code.arrays)
+        _check_initial(initial, search.code)
     return search
 
 
-def _check_initial(program: ProgramUnit, initial: Valuation, arrays: Arrays) -> None:
-    free = dict(program.free_vars)
+def _check_initial(initial: Valuation, code: Code) -> None:
+    free, arrays = code.free, code.arrays
     for name, value in initial.scalars.items():
         if name not in free:
             raise ValueError(f"{name!r} is not a free variable of the query")

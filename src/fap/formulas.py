@@ -4,34 +4,78 @@ Formulas are kept in program form: every formula is a right-associated
 conjunction list terminated by the empty conjunction, and each conjunct is an
 atom, a connective over sub-formulas, or a quantifier.  The module also holds
 term/formula substitution, free-variable collection and the pretty printer
-used for .fap round trips.  Nodes keep their fields in slots, without a dict
-each: a program is held with its compiled form (ProgramUnit.code), and test
-and benchmark corpora hold thousands of programs.
+used for .fap round trips, and `record`, which makes the package's record
+classes cheaply at start-up.  Records keep their fields in slots, without a
+dict each: corpora hold thousands of programs, and results pile up as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
 
 
-def _node(cls: type) -> type:
-    """cls as a frozen dataclass with slots, built by an __init__ that writes
-    each slot through its descriptor instead of the frozen object.__setattr__
-    path, at about half the cost.  Nodes stay immutable (assignment raises
-    FrozenInstanceError), equal and hashable by value, and __post_init__
-    still checks them."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    names = [f.name for f in fields(cls)]
-    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-    body = [f"_set_{n}(self, {n})" for n in names]
-    body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-    exec(f"def __init__(self, {', '.join(names)}):\n    " + ("\n    ".join(body) or "pass"), scope)
-    cls.__init__ = scope["__init__"]
-    cls.__init__.__defaults__ = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+def record(cls: type | None = None, *, frozen: bool = True, slots: bool = True):
+    """cls as a record of the fields its annotations name, in order, the
+    class attributes of those names being their defaults: an __init__ that
+    calls __post_init__ when cls has one, equality by class and fields, a
+    hash of the field tuple when frozen, and the repr Name(field=value, ...),
+    all as a frozen data class has them.  A frozen record refuses assignment.
+    With slots, a record keeps no dict, and pickles and copies as the list
+    of its field values.  _fields and __match_args__ name the fields.  Only
+    the hot __init__, __eq__ and __hash__ are generated, one source a class."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, slots=slots)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    scope = {f"_default_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+    if slots:
+        ns = {k: v for k, v in cls.__dict__.items() if k not in (*names, "__dict__", "__weakref__")}
+        cls = type(cls)(cls.__name__, cls.__bases__, {**ns, "__slots__": names})
+    params = [f"{n}=_default_{n}" if f"_default_{n}" in scope else n for n in names]
+    if not frozen:
+        body = [f"self.{n} = {n}" for n in names]
+    elif slots:  # through the slot descriptors, not the refusing __setattr__
+        scope.update({f"_set_{n}": cls.__dict__[n].__set__ for n in names})
+        body = [f"_set_{n}(self, {n})" for n in names]
+    else:
+        body = [f"self.__dict__[{n!r}] = {n}" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    mine, theirs = ("".join(f"{who}.{n}," for n in names) for who in ("self", "other"))
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+         + "\ndef __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+         f"        return ({mine}) == ({theirs})\n    return NotImplemented\n"
+         f"def __hash__(self):\n    return hash(({mine}))\n", scope)
+    cls.__init__, cls.__eq__, cls.__repr__ = scope["__init__"], scope["__eq__"], _record_repr
+    cls.__hash__ = scope["__hash__"] if frozen else None
+    cls._fields = cls.__match_args__ = names
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _refuse_change
+    if slots:
+        cls.__getstate__, cls.__setstate__ = _record_getstate, _record_setstate
     return cls
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _refuse_change(self, name: str, *value) -> None:
+    """__setattr__(name, value) and __delattr__(name) of a frozen record."""
+    from dataclasses import FrozenInstanceError  # only on this error path
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record_getstate(self) -> list:
+    return [getattr(self, n) for n in self._fields]
+
+
+def _record_setstate(self, state: list) -> None:
+    for n, v in zip(self._fields, state):
+        object.__setattr__(self, n, v)
 
 
 class Scalar(Enum):
@@ -42,7 +86,7 @@ class Scalar(Enum):
         return self.value
 
 
-@_node
+@record
 class ArraySort:
     """Sort of an array symbol: index arity plus scalar element sort."""
 
@@ -72,23 +116,23 @@ class Term:
     __slots__ = ()
 
 
-@_node
+@record
 class IntConst(Term):
     value: int
 
 
-@_node
+@record
 class BoolConst(Term):
     value: bool
 
 
-@_node
+@record
 class Var(Term):
     name: str
     sort: Scalar = Scalar.INT
 
 
-@_node
+@record
 class App(Term):
     """Application of one of the fixed integer functions: + - * div mod."""
 
@@ -102,7 +146,7 @@ class App(Term):
             raise ValueError(f"{self.op} expects 2 arguments")
 
 
-@_node
+@record
 class ArrayRef(Term):
     array: str
     indices: tuple[Term, ...]
@@ -122,13 +166,13 @@ class Atom(Head):
     __slots__ = ()
 
 
-@_node
+@record
 class Eq(Atom):
     lhs: Term
     rhs: Term
 
 
-@_node
+@record
 class Rel(Atom):
     op: str
     lhs: Term
@@ -139,18 +183,18 @@ class Rel(Atom):
             raise ValueError(f"unknown relation symbol {self.op!r}")
 
 
-@_node
+@record
 class Call(Atom):
     name: str
     args: tuple[Term, ...]
 
 
-@_node
+@record
 class TrueAtom(Atom):
     pass
 
 
-@_node
+@record
 class FalseAtom(Atom):
     pass
 
@@ -176,12 +220,12 @@ class Formula:
         return isinstance(self, Empty)
 
 
-@_node
+@record
 class Empty(Formula):
     pass
 
 
-@_node
+@record
 class Cons(Formula):
     head: Head
     tail: Formula
@@ -208,37 +252,37 @@ def concat(a: Formula, b: Formula) -> Formula:
     return f
 
 
-@_node
+@record
 class Or(Head):
     left: Formula
     right: Formula
 
 
-@_node
+@record
 class And(Head):
     left: Formula
     right: Formula
 
 
-@_node
+@record
 class Implies(Head):
     antecedent: Formula
     consequent: Formula
 
 
-@_node
+@record
 class Not(Head):
     body: Formula
 
 
-@_node
+@record
 class Exists(Head):
     var: str
     sort: Scalar
     body: Formula
 
 
-@_node
+@record
 class Forall(Head):
     """Unbounded universal quantifier; surface-only, removed by normalization."""
 
@@ -247,7 +291,7 @@ class Forall(Head):
     body: Formula
 
 
-@_node
+@record
 class ExistsBounded(Head):
     var: str
     lo: Term
@@ -255,7 +299,7 @@ class ExistsBounded(Head):
     body: Formula
 
 
-@_node
+@record
 class ForallBounded(Head):
     var: str
     lo: Term
@@ -267,7 +311,7 @@ class ForallBounded(Head):
 # Declarations and program units
 
 
-@_node
+@record
 class ArrayDecl:
     name: str
     ranges: tuple[tuple[int, int], ...]
@@ -283,14 +327,14 @@ class ArrayDecl:
         )
 
 
-@_node
+@record
 class ProcedureDef:
     name: str
     params: tuple[tuple[str, Scalar], ...]
     body: Formula
 
 
-@dataclass(frozen=True)
+@record(slots=False)
 class ProgramUnit:
     arrays: tuple[ArrayDecl, ...] = ()
     procedures: tuple[ProcedureDef, ...] = ()
@@ -300,16 +344,10 @@ class ProgramUnit:
     fresh_base: int = 1
 
     def array(self, name: str) -> ArrayDecl | None:
-        for a in self.arrays:
-            if a.name == name:
-                return a
-        return None
+        return next((a for a in self.arrays if a.name == name), None)
 
     def procedure(self, name: str) -> ProcedureDef | None:
-        for p in self.procedures:
-            if p.name == name:
-                return p
-        return None
+        return next((p for p in self.procedures if p.name == name), None)
 
     def free_var_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.free_vars)
@@ -423,10 +461,8 @@ def subst_head(h: Head, mapping: Mapping[str, Term]) -> Head:
         return Call(h.name, tuple(subst_term(a, mapping) for a in h.args))
     if isinstance(h, (TrueAtom, FalseAtom)):
         return h
-    if isinstance(h, Or):
-        return Or(subst_formula(h.left, mapping), subst_formula(h.right, mapping))
-    if isinstance(h, And):
-        return And(subst_formula(h.left, mapping), subst_formula(h.right, mapping))
+    if isinstance(h, (Or, And)):
+        return type(h)(subst_formula(h.left, mapping), subst_formula(h.right, mapping))
     if isinstance(h, Implies):
         return Implies(
             subst_formula(h.antecedent, mapping), subst_formula(h.consequent, mapping)

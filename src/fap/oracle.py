@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .formulas import (
     And,
@@ -49,12 +48,13 @@ from .formulas import (
     conj,
     free_vars,
     head_parts,
+    record,
     subterms,
 )
 from .values import Valuation, Value, apply_relation
 
 
-@dataclass(frozen=True)
+@record
 class FiniteDomain:
     """Inclusive value range used to ground free integer variables."""
 
@@ -251,7 +251,7 @@ def oracle_valid(
 # Random program generator
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorConfig:
     seed: int = 0
     max_depth: int = 4

@@ -10,7 +10,6 @@ reach runtime error leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .formulas import (
     ArrayDecl,
@@ -45,6 +44,7 @@ from .formulas import (
     Var,
     concat,
     head_parts,
+    record,
     term_args,
 )
 
@@ -63,7 +63,7 @@ class Diagnostic(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class _CallTerm(Term):
     """Call-shaped term `p(...)`; only legal as a procedure atom, but parsed
     permissively so the cycle check can see self-references first."""

@@ -19,7 +19,6 @@ error=octagon).
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .engine import Error, Fail, Goal, Snapshot, Success, TraceNode
@@ -31,12 +30,13 @@ from .formulas import (
     Or,
     format_head,
     format_term,
+    record,
     subst_head,
 )
 from .values import Env, Valuation, format_binding, format_valuation, valuation_entries
 
 
-@dataclass(frozen=True)
+@record
 class RenderOptions:
     format: str = "text"  # or "dot"
     max_nodes: int = 10_000

@@ -17,9 +17,8 @@ non-closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import EngineConfig, NegationMode, SolveResult, solve
+from .formulas import record
 from .normalize import normalize_program
 from .parser import parse
 from .values import Valuation
@@ -65,7 +64,7 @@ def squares_program(nx: int, ny: int, m: int) -> str:
 Placement = dict[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@record
 class SquaresReport:
     result: SolveResult
     pos_x: Placement

@@ -28,7 +28,6 @@ a chain of calls made them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .formulas import (
@@ -46,6 +45,7 @@ from .formulas import (
     Term,
     TrueAtom,
     Var,
+    record,
 )
 
 Value = int | bool
@@ -187,23 +187,23 @@ def apply_relation(op: str, lhs: int, rhs: int) -> bool:
 # Atom classes
 
 
-@dataclass(frozen=True)
+@record
 class ClosedTrue:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ClosedFalse:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Assignment:
     target: str | Cell
     value: Value
 
 
-@dataclass(frozen=True)
+@record
 class NotEvaluable:
     fault: str | None = None
 
@@ -252,12 +252,15 @@ class Code:
     another node.  Give it only nodes of the program text: a node built at
     run time would be compiled on every visit and kept for good.  The
     compiled code refers to `arrays`, never to the table, so a program and
-    its code are freed together when the program is."""
+    its code are freed together when the program is.  Searches also read
+    the procedures by name and the query's free variables' sorts off it."""
 
-    __slots__ = ("arrays", "table", "_keep")
+    __slots__ = ("arrays", "procedures", "free", "table", "_keep")
 
     def __init__(self, program: ProgramUnit):
         self.arrays = Arrays(program.arrays) if program.arrays else NO_ARRAYS
+        self.procedures = {p.name: p for p in program.procedures}
+        self.free = dict(program.free_vars)
         # id(term or atom) -> its code; (kind, id(node), ...) -> an engine part
         self.table: dict = {}
         self._keep: list = []  # the nodes whose ids key the table

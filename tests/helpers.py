@@ -39,12 +39,17 @@ _counter = itertools.count(1)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_fap(args, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m fap.cli *args` in a child process that imports fap from
-    this checkout's src, whether or not PYTHONPATH names it."""
+def fap_env() -> dict[str, str]:
+    """The environment of a child process that imports fap from this
+    checkout's src, whether or not PYTHONPATH names it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fap.cli", *args], env=env, **kwargs)
+    return env
+
+
+def run_fap(args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m fap.cli *args` in a child process, under fap_env()."""
+    return subprocess.run([sys.executable, "-m", "fap.cli", *args], env=fap_env(), **kwargs)
 
 
 def _fresh(base: str) -> str:

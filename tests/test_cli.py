@@ -1,8 +1,10 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import run_fap
+from helpers import fap_env, run_fap
 from fap.cli import build_parser, engine_config, format_solution, main, parse_bindings
 from fap.engine import EngineConfig, ImplicationMode, NegationMode
 from fap.normalize import load
@@ -97,6 +99,20 @@ def test_internal_error_exits_four_on_one_line(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("internal error: RecursionError")
     assert err.count("\n") == 1
+
+
+def test_a_reader_that_closes_stdout_early_changes_no_exit_code():
+    # `fap run queens8.fap --first 10 --trace text | head -1`: the reader
+    # closes the pipe after one line of a 9 MB trace
+    argv = [sys.executable, "-m", "fap.cli", "run", str(ROOT / "corpus" / "queens8.fap"),
+            "--first", "10", "--trace", "text"]
+    with subprocess.Popen(argv, env=fap_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"[bounded-forall] FOR i := 1 TO 8")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+    assert err == ""  # no `internal error:` line, nor any other
 
 
 # (name, source nesting n levels deep, extra flags): formulas as written,

@@ -1,12 +1,31 @@
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fap
 import fap.formulas
-from fap.engine import iter_trace, solve
+from fap.engine import (
+    ERRORS,
+    FAIL,
+    EngineConfig,
+    Error,
+    Fail,
+    ImplicationMode,
+    NegationMode,
+    SolveResult,
+    Success,
+    TraceNode,
+    TreeStatus,
+    iter_trace,
+    solve,
+)
 from fap.formulas import (
     EMPTY,
     FALSE,
@@ -44,8 +63,20 @@ from fap.formulas import (
     subst_formula,
 )
 from fap.normalize import load, load_query
-from fap.parser import parse_query
-from fap.render import render
+from fap.oracle import FiniteDomain, GeneratorConfig
+from fap.parser import _CallTerm, parse_query
+from fap.render import RenderOptions, render
+from fap.squares import SquaresReport
+from fap.values import (
+    CLOSED_FALSE,
+    CLOSED_TRUE,
+    Assignment,
+    ClosedFalse,
+    ClosedTrue,
+    NotEvaluable,
+    Valuation,
+)
+from helpers import fap_env
 
 
 def test_free_vars_of_formula1():
@@ -180,24 +211,119 @@ NODES = {
 }
 
 
+def record_classes(module) -> set[type]:
+    """The record classes a module defines, found by record's marker."""
+    return {c for c in vars(module).values()
+            if isinstance(c, type) and "_fields" in vars(c) and c.__module__ == module.__name__}
+
+
 def test_every_node_class_has_a_sample():
-    classes = {c for c in vars(fap.formulas).values()
-               if isinstance(c, type) and dataclasses.is_dataclass(c)}
-    assert classes == set(NODES)
+    assert record_classes(fap.formulas) == set(NODES)
 
 
-@pytest.mark.parametrize("node", NODES.values(), ids=[c.__name__ for c in NODES])
-def test_nodes_are_frozen_values(node):
-    fields = [f.name for f in dataclasses.fields(node)]
+# one record of each class in the other modules of fap
+RESULT = SolveResult((Success(Valuation({"x": 1})), FAIL, ERRORS["step-budget"]),
+                     TreeStatus.UNDETERMINED, 7)
+RECORDS = {
+    **NODES,
+    EngineConfig: EngineConfig(NegationMode.LIBERAL, ImplicationMode.GUARDED, True, 10, 2, True),
+    Success: RESULT.leaves[0],
+    Fail: FAIL,
+    Error: RESULT.leaves[2],
+    SolveResult: RESULT,
+    TraceNode: TraceNode("atom", valuation=Valuation({"x": 1}),
+                         children=[TraceNode("fail", leaf=FAIL)]),
+    ClosedTrue: CLOSED_TRUE,
+    ClosedFalse: CLOSED_FALSE,
+    Assignment: Assignment(("a", (1, 2)), True),
+    NotEvaluable: NotEvaluable("division or modulo by zero"),
+    RenderOptions: RenderOptions("dot", 7, False),
+    SquaresReport: SquaresReport(RESULT, {1: 0}, {1: 2}),
+    _CallTerm: _CallTerm("p", (X,), 3, 4),
+    FiniteDomain: FiniteDomain(-1, 2, True),
+    GeneratorConfig: GeneratorConfig(seed=5, domain=FiniteDomain(1, 3),
+                                     arrays_and_quantifiers=True),
+}
+
+
+def test_every_record_class_has_a_sample():
+    modules = [importlib.import_module(f"fap.{info.name}")
+               for info in pkgutil.iter_modules(fap.__path__)]
+    assert set().union(*map(record_classes, modules)) == set(RECORDS)
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=[c.__name__ for c in RECORDS])
+def test_nodes_are_frozen_values(record):
+    """Every record, nodes and the rest: a value as a frozen dataclass was."""
+    cls = type(record)
+    fields = cls._fields
+    values = tuple(getattr(record, name) for name in fields)
+    again = cls(*values)
+    assert again is not record and again == record and not again != record
+    assert record != values and values != record  # a record equals records of its class only
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(fields, values)) + ")"
+    assert cls is ProgramUnit or not hasattr(record, "__dict__")  # slots only
+    if cls is TraceNode:  # the one record that is built up, and so unhashable
+        assert cls.__hash__ is None
+        return
     for name in fields:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(node, name, None)
+            setattr(record, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(node, name)
-    again = type(node)(*(getattr(node, name) for name in fields))
-    assert again is not node and again == node and hash(again) == hash(node)
-    assert repr(node) == f"{type(node).__name__}(" + ", ".join(
-        f"{name}={getattr(node, name)!r}" for name in fields) + ")"
+            delattr(record, name)
+    try:
+        want = hash(values)
+    except TypeError:  # a field holds a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(again) == want
+
+
+@pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("record", RECORDS.values(), ids=[c.__name__ for c in RECORDS])
+def test_records_round_trip(record, copier):
+    copied = copier(record)
+    assert copied is not record and type(copied) is type(record)
+    assert copied == record and repr(copied) == repr(record)
+
+
+def test_record_defaults():
+    assert EngineConfig() == EngineConfig(
+        NegationMode.STRICT, ImplicationMode.STRICT, False, None, None, False)
+    assert RenderOptions() == RenderOptions("text", 10_000, True)
+    assert FiniteDomain() == FiniteDomain(0, 4, False)
+    assert GeneratorConfig(seed=5) == GeneratorConfig(
+        5, 4, 3, FiniteDomain(0, 4), GeneratorConfig().atom_weights,
+        GeneratorConfig().connective_weights, True, ("x", "y", "z"), False)
+    assert NotEvaluable() == NotEvaluable(None)
+    assert _CallTerm("p", ()) == _CallTerm("p", (), 0, 0)
+    assert ProgramUnit() == ProgramUnit((), (), EMPTY, (), False, 1)
+    assert Var("x") == Var("x", Scalar.INT)
+    first, second = TraceNode("fail"), TraceNode("fail")
+    assert first == TraceNode("fail", None, None, [], None)
+    assert first.children is not second.children  # a fresh list each
+
+
+def test_records_are_built_by_keyword_and_matched_by_position():
+    assert Var(name="x") == X
+    assert TraceNode("fail", leaf=FAIL).leaf is FAIL
+    assert SolveResult(steps=7, status=TreeStatus.UNDETERMINED, leaves=RESULT.leaves) == RESULT
+    match NODES[ExistsBounded]:
+        case ExistsBounded(var, IntConst(lo), hi, _):
+            assert (var, lo, hi) == ("x", 1, Var("n"))
+        case _:
+            pytest.fail("ExistsBounded did not match by position")
+
+
+def test_importing_the_cli_defines_records_without_dataclasses():
+    # python -S: the interpreter alone, without what site imports
+    code = "import sys, fap.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=fap_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_nodes_of_different_classes_differ():
@@ -218,6 +344,11 @@ def test_node_reprs_are_those_of_dataclasses():
     lambda: App("+", (X,)),
     lambda: Rel("==", X, X),
     lambda: ArraySort(0, Scalar.INT),
+    lambda: EngineConfig(max_steps=0),
+    lambda: EngineConfig(solution_limit=0),
+    lambda: RenderOptions(max_nodes=0),
+    lambda: RenderOptions(format="svg"),
+    lambda: FiniteDomain(3, 1),
 ])
 def test_post_init_checks_still_raise(build):
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ import importlib
 import io
 import itertools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -214,13 +213,15 @@ def test_node_count_of_a_deep_trace():
 # the text of the store it extends plus the bindings made since; that text
 # must be the store's, formatted whole.
 
-MODES = [
-    EngineConfig(),
-    EngineConfig(negation=NegationMode.LIBERAL, implication=ImplicationMode.NEG_OR),
-    EngineConfig(negation=NegationMode.LIBERAL, implication=ImplicationMode.GUARDED,
-                 report_internal_bindings=True),
-    EngineConfig(implication=ImplicationMode.COMBINED, pedantic=True),
+MODE_FLAGS = [
+    {},
+    dict(negation=NegationMode.LIBERAL, implication=ImplicationMode.NEG_OR),
+    dict(negation=NegationMode.LIBERAL, implication=ImplicationMode.GUARDED,
+         report_internal_bindings=True),
+    dict(implication=ImplicationMode.COMBINED, pedantic=True),
 ]
+MODES = [EngineConfig(**flags) for flags in MODE_FLAGS]
+BUDGETED_MODES = [EngineConfig(**flags, max_steps=3000) for flags in MODE_FLAGS]
 CAPS = (1, 7, 300, 10_000)
 
 
@@ -265,13 +266,13 @@ def check_printed_valuations(program, initial=EMPTY_VALUATION, modes=MODES):
 @pytest.mark.parametrize("path", CORPUS, ids=[path.stem for path in CORPUS])
 def test_printed_valuations_of_the_corpus(path):
     program = load(path.read_text(encoding="utf-8"))
-    check_printed_valuations(program, modes=[replace(m, max_steps=3000) for m in MODES])
+    check_printed_valuations(program, modes=BUDGETED_MODES)
 
 
 def test_printed_valuations_with_array_cells():
     squares = load(squares_program(5, 4, 3))  # 2-D cells
     sizes = Valuation(cells={("Sizes", (1,)): 4, ("Sizes", (2,)): 1, ("Sizes", (3,)): 1})
-    check_printed_valuations(squares, sizes, [replace(m, max_steps=3000) for m in MODES])
+    check_printed_valuations(squares, sizes, BUDGETED_MODES)
 
 
 def test_printed_valuations_of_generated_programs():
