@@ -5,10 +5,11 @@
     fap squares NX NY SIZE [SIZE ...] [--set posX[1]=1 ...]
 
 Exit codes: 0 the query succeeded, 1 it failed, 2 it was undetermined
-(error leaves or step budget), 3 a static error (syntax/sort/cycle/name or
-bad bindings), 4 an internal error: fap itself crashed, and the one-line
-`internal error:` message on stderr names the exception.  A reader that
-closes stdout early (`| head`) changes no exit code.
+(error leaves or step budget), 3 a static error (syntax/sort/cycle/name,
+bad bindings or bad arguments, with the message on stderr), 4 an internal
+error: fap itself crashed, and the one-line `internal error:` message on
+stderr names the exception.  `--help` exits 0.  A reader that closes stdout
+early (`| head`) changes no exit code.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ _SET_RE = re.compile(
     r"(?:\[(?P<idx>-?\d+(?:\s*,\s*-?\d+)*)\])?"
     r"=(?P<value>-?\d+|TRUE|FALSE)$"
 )
+_SQUARES_SET_RE = re.compile(r"^(?P<name>posX|posY)\[(?P<idx>-?\d+)\]=(?P<value>-?\d+)$")
 
 
 def parse_bindings(program: ProgramUnit, settings: list[str]) -> Valuation:
@@ -183,13 +185,21 @@ def write_out(texts: Iterable[str]) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = GeneratorConfig(seed=args.seed, max_depth=args.depth)
+    try:
+        cfg = GeneratorConfig(seed=args.seed, max_depth=args.depth)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STATIC
     text = format_program(generate(cfg))
-    if args.out:
+    if not args.out:
+        write_out([text])
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        write_out([text])
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STATIC
     return 0
 
 
@@ -197,14 +207,13 @@ def cmd_squares(args: argparse.Namespace) -> int:
     partial_x: dict[int, int] = {}
     partial_y: dict[int, int] = {}
     for raw in args.set:
-        m = _SET_RE.match(raw.strip())
-        if m is None or m.group("idx") is None or m.group("name") not in ("posX", "posY"):
+        m = _SQUARES_SET_RE.match(raw.strip())
+        if m is None:
             print(f"error: squares accepts only posX[k]=v / posY[k]=v, got {raw!r}",
                   file=sys.stderr)
             return EXIT_STATIC
-        k = int(m.group("idx"))
         target = partial_x if m.group("name") == "posX" else partial_y
-        target[k] = int(m.group("value"))
+        target[int(m.group("idx"))] = int(m.group("value"))
     try:
         report = run_squares(
             args.nx, args.ny, args.sizes, partial_x, partial_y, engine_config(args)
@@ -223,10 +232,16 @@ def cmd_squares(args: argparse.Namespace) -> int:
     return EXIT_BY_STATUS[report.result.status]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """argparse's usage error, exiting as a static error: its own exit
+        status, 2, would read as an undetermined query."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_STATIC, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fap", description="execute first-order formulas as programs"
-    )
+    parser = _Parser(prog="fap", description="execute first-order formulas as programs")
     subs = parser.add_subparsers(dest="command", required=True)
 
     run = subs.add_parser("run", help="run a .fap program")

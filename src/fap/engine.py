@@ -60,7 +60,6 @@ from enum import Enum
 from typing import Iterator
 
 from .formulas import (
-    And,
     Atom,
     Call,
     Cons,
@@ -436,9 +435,6 @@ class _Search:
     def _expand_or(self, head: Or, env: Env, rest: Goal | None) -> Expansion:
         return "disjunction", (goal(head.left, env, rest), goal(head.right, env, rest))
 
-    def _expand_and(self, head: And, env: Env, rest: Goal | None) -> Expansion:
-        return "conjunction", (goal(head.left, env, goal(head.right, env, rest)),)
-
     def _expand_exists(self, head: Exists, env: Env, rest: Goal | None) -> Expansion:
         inner = {**env, head.var: Var(self.fresh.fresh(head.var), head.sort)}
         return "exists", (goal(head.body, inner, rest),)
@@ -602,12 +598,12 @@ def _closed(f: Formula, bound: frozenset[str], arrays: Arrays) -> tuple[tuple, t
         h = f.head
         terms, subs, var = head_parts(h)
         for t in terms:
-            for part, check in closed_checks(t, arrays, bound | local, local):
+            for part, check in closed_checks(t, arrays, bound | local):
                 if (part, local) not in seen:
                     seen.add((part, local))
                     checks.append(check)
         if type(h) is Call:
-            args = tuple(compile_resolver(arg, local) for arg in h.args)
+            args = tuple(compile_resolver(arg) for arg in h.args)
             calls.append((h.name, args, bound | local))
         inner = local if var is None else local | {var}
         todo += ((sub, inner) for sub in reversed(subs))
@@ -634,7 +630,6 @@ _RULES = {
     FalseAtom: _Search._expand_atom,
     Call: _Search._expand_call,
     Or: _Search._expand_or,
-    And: _Search._expand_and,
     Not: _Search._expand_not,
     Implies: _Search._expand_implies,
     Exists: _Search._expand_exists,

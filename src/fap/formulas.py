@@ -86,20 +86,6 @@ class Scalar(Enum):
         return self.value
 
 
-@record
-class ArraySort:
-    """Sort of an array symbol: index arity plus scalar element sort."""
-
-    index_arity: int
-    element: Scalar
-
-    def __post_init__(self) -> None:
-        if self.index_arity < 1:
-            raise ValueError("array index arity must be >= 1")
-
-
-Sort = Scalar | ArraySort
-
 # Reserved character: names containing it cannot be written in surface syntax,
 # so normalizer/engine-generated bound variables never collide with user names.
 FRESH_MARK = "$"
@@ -259,12 +245,6 @@ class Or(Head):
 
 
 @record
-class And(Head):
-    left: Formula
-    right: Formula
-
-
-@record
 class Implies(Head):
     antecedent: Formula
     consequent: Formula
@@ -316,10 +296,6 @@ class ArrayDecl:
     name: str
     ranges: tuple[tuple[int, int], ...]
     element: Scalar
-
-    @property
-    def sort(self) -> ArraySort:
-        return ArraySort(len(self.ranges), self.element)
 
     def in_range(self, indices: tuple[int, ...]) -> bool:
         return len(indices) == len(self.ranges) and all(
@@ -380,7 +356,7 @@ def head_parts(h: Head) -> tuple[tuple[Term, ...], tuple[Formula, ...], str | No
         return h.args, (), None
     if isinstance(h, (TrueAtom, FalseAtom)):
         return (), (), None
-    if isinstance(h, (Or, And)):
+    if isinstance(h, Or):
         return (), (h.left, h.right), None
     if isinstance(h, Implies):
         return (), (h.antecedent, h.consequent), None
@@ -461,8 +437,8 @@ def subst_head(h: Head, mapping: Mapping[str, Term]) -> Head:
         return Call(h.name, tuple(subst_term(a, mapping) for a in h.args))
     if isinstance(h, (TrueAtom, FalseAtom)):
         return h
-    if isinstance(h, (Or, And)):
-        return type(h)(subst_formula(h.left, mapping), subst_formula(h.right, mapping))
+    if isinstance(h, Or):
+        return Or(subst_formula(h.left, mapping), subst_formula(h.right, mapping))
     if isinstance(h, Implies):
         return Implies(
             subst_formula(h.antecedent, mapping), subst_formula(h.consequent, mapping)
@@ -585,9 +561,6 @@ class _Printer:
                 rest = rest.head.right
             parts.append(self.operand(rest))
             text = " OR ".join(parts)
-            return f"({text})" if in_conj else text
-        if isinstance(h, And):
-            text = f"({self.formula(h.left)}) AND ({self.formula(h.right)})"
             return f"({text})" if in_conj else text
         if isinstance(h, Implies):
             text = f"{self.operand(h.antecedent)} -> {self.operand(h.consequent)}"

@@ -1,16 +1,16 @@
 """Rewrite parsed formulas into executable program form.
 
 Normalization eliminates unbounded universal quantifiers (FORALL x . f
-becomes NOT EXISTS x . NOT f), deletes double negations, flattens nested
-conjunction heads into the right-associated spine, and renames every bound
-variable to a globally unique name carrying the reserved '$' mark.  Renaming
-is positional, so normalizing twice yields the same result.
+becomes NOT EXISTS x . NOT f), deletes double negations, and renames every
+bound variable to a globally unique name carrying the reserved '$' mark.
+Conjunction needs no rewriting: the parser already builds every AND as the
+right-associated spine.  Renaming is positional, so normalizing twice yields
+the same result.
 """
 
 from __future__ import annotations
 
 from .formulas import (
-    And,
     Atom,
     Cons,
     EMPTY,
@@ -70,10 +70,6 @@ def _norm_head(h: Head, fresh: FreshNames, names: dict[str, Term], out: list[Hea
     several conjuncts or none."""
     if isinstance(h, Atom):
         out.append(subst_head(h, names) if names else h)
-    elif isinstance(h, And):
-        # clause dissolves: conjunction heads flatten into the spine
-        for part in (*h.left, *h.right):
-            _norm_head(part, fresh, names, out)
     elif isinstance(h, Or):
         out.append(Or(_norm(h.left, fresh, names), _norm(h.right, fresh, names)))
     elif isinstance(h, Implies):

@@ -16,7 +16,6 @@ import itertools
 import random
 
 from .formulas import (
-    And,
     ArrayDecl,
     App,
     ArrayRef,
@@ -123,8 +122,6 @@ class _Eval:
             return self.truth(proc.body, scope)
         if isinstance(h, Or):
             return self.truth(h.left, env) or self.truth(h.right, env)
-        if isinstance(h, And):
-            return self.truth(h.left, env) and self.truth(h.right, env)
         if isinstance(h, Implies):
             return (not self.truth(h.antecedent, env)) or self.truth(h.consequent, env)
         if isinstance(h, Not):
@@ -255,28 +252,8 @@ def oracle_valid(
 class GeneratorConfig:
     seed: int = 0
     max_depth: int = 4
-    max_range_width: int = 3
     domain: FiniteDomain = FiniteDomain(0, 4)
-    # assignment-shaped equations dominate so that a healthy share of the
-    # generated trees is determined rather than error-ridden
-    atom_weights: tuple[tuple[str, int], ...] = (
-        ("assign", 55),
-        ("closed_cmp", 21),
-        ("var_cmp", 6),
-        ("eq_test", 6),
-        ("const", 12),
-    )
-    connective_weights: tuple[tuple[str, int], ...] = (
-        ("atom", 40),
-        ("or", 22),
-        ("some", 10),
-        ("for", 7),
-        ("not", 6),
-        ("implies", 5),
-        ("call", 10),
-    )
     allow_procedures: bool = True
-    free_var_pool: tuple[str, ...] = ("x", "y", "z")
     # Also emit one array `a` indexed over the domain, cells read and
     # assigned in the query, and EXISTS and FORALL.  Every index, cell value
     # and witness stays inside the domain, so the oracle can check these
@@ -284,7 +261,31 @@ class GeneratorConfig:
     # generator draws exactly what it always drew.
     arrays_and_quantifiers: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
 
+
+_MAX_RANGE_WIDTH = 3
+_FREE_VAR_POOL = ("x", "y", "z")
+# assignment-shaped equations dominate so that a healthy share of the
+# generated trees is determined rather than error-ridden
+_ATOM_WEIGHTS = (
+    ("assign", 55),
+    ("closed_cmp", 21),
+    ("var_cmp", 6),
+    ("eq_test", 6),
+    ("const", 12),
+)
+_CONNECTIVE_WEIGHTS = (
+    ("atom", 40),
+    ("or", 22),
+    ("some", 10),
+    ("for", 7),
+    ("not", 6),
+    ("implies", 5),
+    ("call", 10),
+)
 _PROFILE_ATOMS = (("cell_assign", 20),)
 _PROFILE_CONNECTIVES = (("exists", 8), ("forall", 5))
 
@@ -298,8 +299,8 @@ class _Gen:
         self.procs: list[ProcedureDef] = []
         self.profile = cfg.arrays_and_quantifiers
         self.in_procedure = False
-        self.atom_weights = cfg.atom_weights + (_PROFILE_ATOMS if self.profile else ())
-        self.connective_weights = cfg.connective_weights + (
+        self.atom_weights = _ATOM_WEIGHTS + (_PROFILE_ATOMS if self.profile else ())
+        self.connective_weights = _CONNECTIVE_WEIGHTS + (
             _PROFILE_CONNECTIVES if self.profile else ()
         )
 
@@ -402,7 +403,7 @@ class _Gen:
         if r < 0.08:
             hi: Term = IntConst(lo_v - 1)  # empty range
         else:
-            width = self.rng.randint(0, self.cfg.max_range_width)
+            width = self.rng.randint(0, _MAX_RANGE_WIDTH)
             hi = IntConst(min(lo_v + width, self.d.hi))
         lo: Term = IntConst(lo_v)
         if scope and r > 0.93:
@@ -424,9 +425,7 @@ class _Gen:
             for i in range(self.rng.randint(1, 2)):
                 self.procs.append(self.procedure(i + 1))
         depth = self.rng.randint(1, self.cfg.max_depth)
-        pool = list(
-            self.cfg.free_var_pool[: self.rng.randint(1, len(self.cfg.free_var_pool))]
-        )
+        pool = list(_FREE_VAR_POOL[: self.rng.randint(1, len(_FREE_VAR_POOL))])
         query = self.formula(depth, pool)
         order = free_vars(query)
         d = self.d

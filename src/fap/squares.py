@@ -67,12 +67,7 @@ Placement = dict[int, tuple[int, int]]
 @record
 class SquaresReport:
     result: SolveResult
-    pos_x: Placement
-    pos_y: Placement
-
-    @property
-    def placement(self) -> Placement:
-        return {k: (self.pos_x[k], self.pos_y[k]) for k in self.pos_x if k in self.pos_y}
+    placement: Placement  # square -> (posX, posY) of the first solution
 
 
 def run_squares(
@@ -99,20 +94,16 @@ def run_squares(
     elif config.negation is not NegationMode.LIBERAL:
         raise ValueError("the squares program needs liberal negation")
     result = solve(program, Valuation({}, cells), config)
-    pos_x: Placement = {}
-    pos_y: Placement = {}
+    placement: Placement = {}
     if result.solutions:
-        found = result.solutions[0]
-        for (array, idx), value in found.cells.items():
-            if array == "posX":
-                pos_x[idx[0]] = value
-            elif array == "posY":
-                pos_y[idx[0]] = value
+        found = result.solutions[0].cells
+        pos_x = {idx[0]: v for (array, idx), v in found.items() if array == "posX"}
+        pos_y = {idx[0]: v for (array, idx), v in found.items() if array == "posY"}
         placement = {k: (pos_x[k], pos_y[k]) for k in pos_x if k in pos_y}
         problem = check_placement(nx, ny, sizes, placement)
         if problem is not None:
             raise RuntimeError(f"engine produced an invalid tiling: {problem}")
-    return SquaresReport(result, pos_x, pos_y)
+    return SquaresReport(result, placement)
 
 
 def check_placement(

@@ -153,7 +153,6 @@ def format_valuation(a: Valuation) -> str:
 # closed index outside the declared range.
 
 _OPEN = object()
-_NO_NAMES: frozenset[str] = frozenset()
 
 # (env, scalars, cells) -> value or _OPEN: a compiled term
 TermCode = Callable[[Env, dict, dict], object]
@@ -223,18 +222,14 @@ AtomCode = Callable[[Env, dict, dict], AtomClass]
 
 
 class Arrays:
-    """The declared arrays of a program unit, and the compiler of terms and
-    atoms against them.  Each call compiles afresh; Code keeps what it
-    compiles."""
+    """The declared arrays of a program unit, and the compiler of atoms
+    against them.  Each call compiles afresh; Code keeps what it compiles."""
 
     def __init__(self, decls: Iterable[ArrayDecl] = ()):
         self.by_name = {d.name: d for d in decls}
 
     def decl(self, name: str) -> ArrayDecl:
         return self.by_name[name]
-
-    def term(self, t: Term) -> TermCode:
-        return compile_term(t, self)
 
     def atom(self, a: Atom) -> AtomCode:
         return compile_atom(a, self)
@@ -290,9 +285,7 @@ class Code:
 
 
 # ---------------------------------------------------------------------------
-# Compiling terms.  `local` names binders whose instances the environment
-# does not hold (closedness checks see inside binders): those names are read
-# from the valuation directly.
+# Compiling terms.
 #
 # A compiled closure takes what it was compiled with as default arguments,
 # not as closure cells, so each compiled part is one function and one tuple:
@@ -315,7 +308,7 @@ def _constant(t: Term):
     return _OPEN
 
 
-def compile_term(t: Term, arrays: Arrays, local: frozenset[str] = _NO_NAMES) -> TermCode:
+def compile_term(t: Term, arrays: Arrays) -> TermCode:
     """t as a closure (env, scalars, cells) -> value or _OPEN; it raises
     EvalFault where t faults."""
     value = _constant(t)
@@ -326,12 +319,6 @@ def compile_term(t: Term, arrays: Arrays, local: frozenset[str] = _NO_NAMES) -> 
         return const
     kind = type(t)
     if kind is Var:
-        if t.name in local:
-            def local_var(env, scalars, cells, name=t.name):
-                return scalars.get(name, _OPEN)
-
-            return local_var
-
         def var(env, scalars, cells, name=t.name, arrays=arrays):
             bound = env.get(name)
             if bound is None:
@@ -342,32 +329,24 @@ def compile_term(t: Term, arrays: Arrays, local: frozenset[str] = _NO_NAMES) -> 
 
         return var
     if kind is App:
-        return _compile_app(t, arrays, local)
+        return _compile_app(t, arrays)
     if kind is ArrayRef:
-        return _compile_ref(t, arrays, local)
+        return _compile_ref(t, arrays)
     raise TypeError(f"unknown term {t!r}")
 
 
-def _compile_app(t: App, arrays: Arrays, local: frozenset[str]) -> TermCode:
+def _compile_app(t: App, arrays: Arrays) -> TermCode:
     fn = _FUNCTIONS[t.op]
     lhs, rhs = t.args
     k = _constant(rhs)
     if k is not _OPEN:
-        def app_k(env, scalars, cells, f=compile_term(lhs, arrays, local), k=k, fn=fn):
+        def app_k(env, scalars, cells, f=compile_term(lhs, arrays), k=k, fn=fn):
             v = f(env, scalars, cells)
             return _OPEN if v is _OPEN else fn(v, k)
 
         return app_k
-    g = compile_term(rhs, arrays, local)
-    k = _constant(lhs)
-    if k is not _OPEN:
-        def k_app(env, scalars, cells, g=g, k=k, fn=fn):
-            v = g(env, scalars, cells)
-            return _OPEN if v is _OPEN else fn(k, v)
 
-        return k_app
-
-    def app(env, scalars, cells, f=compile_term(lhs, arrays, local), g=g, fn=fn):
+    def app(env, scalars, cells, f=compile_term(lhs, arrays), g=compile_term(rhs, arrays), fn=fn):
         a = f(env, scalars, cells)
         b = g(env, scalars, cells)
         if a is _OPEN or b is _OPEN:
@@ -383,12 +362,12 @@ def _ranges(t: ArrayRef, arrays: Arrays) -> tuple:
     return decl.ranges if decl is not None and len(decl.ranges) == len(t.indices) else ()
 
 
-def _compile_ref(t: ArrayRef, arrays: Arrays, local: frozenset[str]) -> TermCode:
+def _compile_ref(t: ArrayRef, arrays: Arrays) -> TermCode:
     """The value of the cell t refers to; references with one or two indices
     read and range-check them inline."""
     ranges = _ranges(t, arrays)
-    if len(ranges) == 1 and _constant(t.indices[0]) is _OPEN:
-        def ref1(env, scalars, cells, f=compile_term(t.indices[0], arrays, local),
+    if len(ranges) == 1:
+        def ref1(env, scalars, cells, f=compile_term(t.indices[0], arrays),
                  name=t.array, lo=ranges[0][0], hi=ranges[0][1]):
             i = f(env, scalars, cells)
             if i is _OPEN:
@@ -399,26 +378,20 @@ def _compile_ref(t: ArrayRef, arrays: Arrays, local: frozenset[str]) -> TermCode
 
         return ref1
 
-    def ref(env, scalars, cells, cell_of=compile_cell(t, arrays, local)):
+    def ref(env, scalars, cells, cell_of=compile_cell(t, arrays)):
         cell = cell_of(env, scalars, cells)
         return _OPEN if cell is _OPEN else cells.get(cell, _OPEN)
 
     return ref
 
 
-def compile_cell(t: ArrayRef, arrays: Arrays, local: frozenset[str] = _NO_NAMES) -> TermCode:
+def compile_cell(t: ArrayRef, arrays: Arrays) -> TermCode:
     """The cell t refers to as a closure: _OPEN while an index is open (the
     later indices are then not read); a closed index outside the declared
     range faults."""
     name = t.array
     ranges = _ranges(t, arrays)
-    consts = tuple(_constant(i) for i in t.indices)
-    if ranges and _OPEN not in consts and all(lo <= i <= hi for i, (lo, hi) in zip(consts, ranges)):
-        def constant_cell(env, scalars, cells, cell=(name, consts)):
-            return cell
-
-        return constant_cell
-    idx = tuple(compile_term(i, arrays, local) for i in t.indices)
+    idx = tuple(compile_term(i, arrays) for i in t.indices)
     if len(ranges) == 1:
         def cell1(env, scalars, cells, f=idx[0], name=name, lo=ranges[0][0], hi=ranges[0][1]):
             i = f(env, scalars, cells)
@@ -459,18 +432,17 @@ def compile_cell(t: ArrayRef, arrays: Arrays, local: frozenset[str] = _NO_NAMES)
     return cell
 
 
-def compile_resolver(t: Term, local: frozenset[str] = _NO_NAMES) -> Callable[[Env], Term]:
-    """t as a closure env -> t with every name env binds (other than the
-    local ones) replaced by its term: a call's argument as the callee's
-    environment holds it."""
+def compile_resolver(t: Term) -> Callable[[Env], Term]:
+    """t as a closure env -> t with every name env binds replaced by its
+    term: a call's argument as the callee's environment holds it."""
     kind = type(t)
-    if kind is Var and t.name not in local:
+    if kind is Var:
         return lambda env, name=t.name, t=t: env.get(name, t)
     if kind is App:
-        f, g = (compile_resolver(x, local) for x in t.args)
+        f, g = (compile_resolver(x) for x in t.args)
         return lambda env, op=t.op, f=f, g=g: App(op, (f(env), g(env)))
     if kind is ArrayRef:
-        parts = tuple(compile_resolver(x, local) for x in t.indices)
+        parts = tuple(compile_resolver(x) for x in t.indices)
         return lambda env, array=t.array, parts=parts: ArrayRef(
             array, tuple(f(env) for f in parts)
         )
@@ -478,15 +450,16 @@ def compile_resolver(t: Term, local: frozenset[str] = _NO_NAMES) -> Callable[[En
 
 
 def closed_checks(
-    t: Term, arrays: Arrays, bound: frozenset[str], local: frozenset[str]
+    t: Term, arrays: Arrays, bound: frozenset[str]
 ) -> list[tuple[Term, Callable[[Env, dict, dict], bool]]]:
     """(part, check) pairs whose checks together say t is closed inside a
-    formula whose binders met so far are `bound` (`local` are those of the
-    formula being checked, which the environment does not hold): every
-    variable has a value or is such a binder, and every array reference
-    denotes a bound cell, so a reference whose index reads a binder without
-    a value is not closed.  Constants and local binders need no check, and
-    a function application is closed when its arguments are."""
+    formula whose binders met so far are `bound`: every variable has a value
+    or is such a binder, and every array reference denotes a bound cell, so
+    a reference whose index reads a binder without a value is not closed.
+    Constants and binders need no check, and a function application is
+    closed when its arguments are.  The environment never holds a binder of
+    the formula being checked (binder names are unique and calls are
+    acyclic), so an index reads such a binder as open."""
     checks = []
     todo = [t]
     while todo:
@@ -494,10 +467,10 @@ def closed_checks(
         kind = type(t)
         if kind is App:
             todo += reversed(t.args)
-        elif kind is Var and t.name not in local:
+        elif kind is Var and t.name not in bound:
             checks.append((t, _closed_var(t.name, arrays, bound)))
         elif kind is ArrayRef:
-            checks.append((t, _closed_ref(compile_cell(t, arrays, local))))
+            checks.append((t, _closed_ref(compile_cell(t, arrays))))
     return checks
 
 
@@ -616,14 +589,13 @@ def closed_value(
 # Public evaluation
 
 
-def try_eval_term(
-    t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS, env: Env = EMPTY_ENV
-) -> Value | None:
-    """Value of a closed term, None when t is open; raises EvalFault on
-    div/mod-by-zero or an out-of-range cell with closed indices."""
+def try_eval_term(t: Term, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> Value | None:
+    """Value of a closed term of code's program, None when t is open; raises
+    EvalFault on div/mod-by-zero or an out-of-range cell with closed
+    indices."""
     if type(t) is IntConst:  # also the bounds of the rest of a range, built at run time
         return t.value
-    v = arrays.term(t)(env, a.scalars, a.cells)
+    v = code.term(t)(env, a.scalars, a.cells)
     return None if v is _OPEN else v
 
 
@@ -688,31 +660,9 @@ def _compile_rel(atom: Rel, arrays: Arrays) -> AtomCode:
     lk, rk = _constant(atom.lhs), _constant(atom.rhs)
     if lk is not _OPEN and rk is not _OPEN:
         return _closed_true if op(lk, rk) else _closed_false
-    if rk is not _OPEN:
-        def rel_k(env, scalars, cells, f=compile_term(atom.lhs, arrays), k=rk, op=op):
-            try:
-                lhs = f(env, scalars, cells)
-            except EvalFault as fault:
-                return NotEvaluable(fault.reason)
-            if lhs is _OPEN:
-                return NOT_EVALUABLE
-            return CLOSED_TRUE if op(lhs, k) else CLOSED_FALSE
 
-        return rel_k
-    g = compile_term(atom.rhs, arrays)
-    if lk is not _OPEN:
-        def k_rel(env, scalars, cells, g=g, k=lk, op=op):
-            try:
-                rhs = g(env, scalars, cells)
-            except EvalFault as fault:
-                return NotEvaluable(fault.reason)
-            if rhs is _OPEN:
-                return NOT_EVALUABLE
-            return CLOSED_TRUE if op(k, rhs) else CLOSED_FALSE
-
-        return k_rel
-
-    def rel(env, scalars, cells, f=compile_term(atom.lhs, arrays), g=g, op=op):
+    def rel(env, scalars, cells, f=compile_term(atom.lhs, arrays),
+            g=compile_term(atom.rhs, arrays), op=op):
         try:
             lhs = f(env, scalars, cells)
             rhs = g(env, scalars, cells)

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from fap.engine import Success
 from fap.formulas import (
-    And,
     Atom,
     Call,
     Cons,
@@ -113,10 +112,10 @@ def static_step_bound(program: ProgramUnit) -> int:
             return s + 1, p
         if isinstance(head, Atom):
             return 1, 1
-        if isinstance(head, (Or, And)):
+        if isinstance(head, Or):
             ls, lp = bound_formula(head.left)
             rs, rp = bound_formula(head.right)
-            return ls + rs + 1, lp + rp if isinstance(head, Or) else lp * rp
+            return ls + rs + 1, lp + rp
         if isinstance(head, Implies):
             a_s, a_p = bound_formula(head.antecedent)
             c_s, c_p = bound_formula(head.consequent)

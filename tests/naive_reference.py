@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 from fap.formulas import (
-    And,
     App,
     ArrayRef,
     Atom,
@@ -155,7 +154,7 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
                 terms = (h.lhs, h.rhs) if isinstance(h, (Eq, Rel)) else ()
                 if not all(closed_term(t, a, bound) for t in terms):
                     return False
-            elif isinstance(h, (Or, And)):
+            elif isinstance(h, Or):
                 if not (closed_formula(h.left, a, bound) and closed_formula(h.right, a, bound)):
                     return False
             elif isinstance(h, Implies):
@@ -229,8 +228,6 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
             return tree(tail, a.bind_cell(target, closed))
         if isinstance(h, Or):
             return tree(concat(h.left, tail), a) + tree(concat(h.right, tail), a)
-        if isinstance(h, And):
-            return tree(concat(h.left, concat(h.right, tail)), a)
         if isinstance(h, Not):
             if not closed_formula(h.body, a, frozenset()):
                 return [RError()]

@@ -332,6 +332,58 @@ def test_squares_rejects_other_bindings():
     assert proc.returncode == 3
 
 
+def exit_of(argv, capsys):
+    """main's exit status for argv, whether it returns it or argparse exits,
+    and what it printed."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    return code, capsys.readouterr()
+
+
+FORMULA1 = str(ROOT / "corpus" / "formula1.fap")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", FORMULA1, "--neg", "bogus"], "argument --neg: invalid choice: 'bogus'"),
+    (["run", FORMULA1, "--first", "x"], "argument --first: invalid int value: 'x'"),
+    (["squares", "5", "4"], "the following arguments are required: sizes"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+], ids=["bad-choice", "bad-int", "missing-argument", "unknown-command"])
+def test_a_usage_error_exits_three_not_undetermined(argv, message, capsys):
+    code, out = exit_of(argv, capsys)
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("usage: fap") and f"error: {message}" in out.err
+
+
+def test_help_exits_zero_and_a_usage_error_three_from_the_shell():
+    help_ = run_cli("run", "corpus/formula1.fap", "--help")
+    assert help_.returncode == 0 and help_.stdout.startswith("usage: fap run")
+    bad = run_cli("run", "corpus/formula1.fap", "--neg", "bogus")
+    assert bad.returncode == 3 and "invalid choice: 'bogus'" in bad.stderr
+
+
+SQUARES = ["squares", "5", "4", "4", "1", "1", "1", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--depth", "0"], "error: max_depth must be >= 1"),
+    ([*SQUARES, "--set", "posX[1,2]=3"], "error: squares accepts only posX[k]=v"),
+    ([*SQUARES, "--set", "posX[1]=TRUE"], "error: squares accepts only posX[k]=v"),
+], ids=["gen-depth-0", "squares-two-indices", "squares-bool-value"])
+def test_bad_gen_and_squares_input_is_a_static_error(argv, message, capsys):
+    code, out = exit_of(argv, capsys)
+    assert code == 3 and out.out == ""
+    assert out.err.startswith(message) and "internal error" not in out.err
+
+
+def test_gen_into_a_missing_directory_is_a_static_error(tmp_path, capsys):
+    code, out = exit_of(["gen", "--out", str(tmp_path / "missing" / "x.fap")], capsys)
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("error: [Errno 2]") and "internal error" not in out.err
+
+
 def test_run_exit_code_via_main_in_process(capsys):
     code = main(["run", "corpus/formula1.fap", "--all"])
     out = capsys.readouterr().out

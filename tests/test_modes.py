@@ -79,6 +79,43 @@ def test_negand_indexed_by_an_unbound_cell_is_not_closed():
     assert leaf_kinds(bound.leaves) == ["Success"]
 
 
+# Closedness looks inside the operand: its own binders count as closed, but
+# an array reference whose index reads one of them is open, also when the
+# reference sits in a procedure the operand calls with the binder.
+BOTH_CELLS = "array a[1..2] : int;\n{defs}query a[1] = 1 AND a[2] = 2 AND NOT ({operand});"
+
+
+def test_a_cell_indexed_by_the_operands_own_binder_is_not_closed():
+    from fap.normalize import load
+
+    p = load(BOTH_CELLS.format(defs="", operand="SOME i := 1 TO 2 DO a[i] = 1 END"))
+    strict = solve(p, EMPTY_VALUATION, STRICT)
+    assert leaf_kinds(strict.leaves) == ["Error"]
+    assert strict.leaves[0].cause == NEGAND_UNDETERMINED
+    liberal = solve(p, EMPTY_VALUATION, LIBERAL)  # runs it: a[1] = 1 refutes
+    assert leaf_kinds(liberal.leaves) == ["Fail"]
+
+
+def test_a_call_that_indexes_a_cell_by_the_binder_is_not_closed():
+    from fap.normalize import load
+
+    p = load(BOTH_CELLS.format(defs="def p(u) := a[u] = 1;\n",
+                               operand="SOME i := 1 TO 2 DO p(i) END"))
+    strict = solve(p, EMPTY_VALUATION, STRICT)
+    assert strict.leaves[0].cause == NEGAND_UNDETERMINED
+    assert leaf_kinds(solve(p, EMPTY_VALUATION, LIBERAL).leaves) == ["Fail"]
+
+
+def test_a_call_that_only_reads_the_binder_is_closed():
+    from fap.normalize import load
+
+    p = load(BOTH_CELLS.format(defs="def q(u) := u = u;\n",
+                               operand="SOME i := 1 TO 2 DO q(i) END"))
+    for config in (STRICT, LIBERAL):
+        r = solve(p, EMPTY_VALUATION, config)
+        assert leaf_kinds(r.leaves) == ["Fail"] and r.status is TreeStatus.FAILED
+
+
 def test_internal_existential_witness_is_clean():
     # the operand succeeds but only pins its own bound variable
     r = run("NOT (SOME k := 1 TO 3 DO k = 2 END)", LIBERAL)

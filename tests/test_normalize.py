@@ -1,5 +1,6 @@
+from pathlib import Path
+
 from fap.formulas import (
-    And,
     EMPTY,
     Eq,
     Exists,
@@ -13,23 +14,20 @@ from fap.formulas import (
     conj,
     format_program,
     free_vars,
+    head_parts,
 )
-from fap.normalize import FreshNames, load_query, normalize, normalize_program
-from fap.oracle import GeneratorConfig, generate
+from fap.engine import EngineConfig, Success, iter_leaves
+from fap.normalize import FreshNames, load, load_query, normalize, normalize_program
+from fap.oracle import FiniteDomain, GeneratorConfig, generate
 from fap.parser import parse, parse_query
 
 X = Var("x")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_double_negation_collapses():
     f = conj(Not(conj(Not(conj(Eq(X, IntConst(0)))))))
     assert normalize(f) == conj(Eq(X, IntConst(0)))
-
-
-def test_nested_and_heads_flatten():
-    a, b, c = Eq(X, IntConst(1)), Eq(X, IntConst(2)), Eq(X, IntConst(3))
-    f = conj(And(conj(And(conj(a), conj(b))), conj(c)))
-    assert normalize(f) == conj(a, b, c)
 
 
 def test_forall_becomes_not_exists_not():
@@ -76,6 +74,40 @@ def test_bound_names_are_globally_unique():
     collect(p.query)
     assert len(names) == 3 and len(set(names)) == 3
     assert all("$" in n for n in names)
+
+
+def binders(f):
+    """The variables bound in f, a name once for each binder."""
+    names = []
+    for h in f:
+        _, subs, var = head_parts(h)
+        names += [var] if var is not None else []
+        for sub in subs:
+            names += binders(sub)
+    return names
+
+
+def test_binder_names_are_unique_in_a_unit_and_apart_from_engine_names():
+    # closedness checks rely on this: no environment an operand is checked
+    # under holds one of the operand's own binders
+    programs = [load((CORPUS / "queens8.fap").read_text()), load(
+        "def p(u) := SOME k := 1 TO 2 DO u = k END AND EXISTS w . w = u;\n"
+        "def r(v) := p(v) AND NOT (FORALL t . t = v);\n"
+        "query r(x) AND SOME k := 1 TO 2 DO p(k) AND EXISTS w . w = k END;")]
+    domain = FiniteDomain(0, 2, quantifiers=True)
+    programs += [normalize_program(generate(GeneratorConfig(
+        seed=seed, domain=domain, arrays_and_quantifiers=True))) for seed in range(40)]
+    config = EngineConfig(report_internal_bindings=True, max_steps=20_000)
+    made_any = False
+    for p in programs:
+        names = [n for proc in p.procedures for n in binders(proc.body)] + binders(p.query)
+        assert len(names) == len(set(names))
+        assert all(int(n.rsplit("$", 1)[1]) < p.fresh_base for n in names)
+        made = {n for leaf in iter_leaves(p, config=config) if isinstance(leaf, Success)
+                for n in leaf.valuation.scalars} - set(p.free_var_names())
+        assert not made & set(names)
+        made_any = made_any or bool(made)
+    assert made_any
 
 
 def test_normalize_idempotent_on_program_units():
@@ -157,9 +189,6 @@ def _assert_program_form(f):
         elif isinstance(h, Implies):
             _assert_program_form(h.antecedent)
             _assert_program_form(h.consequent)
-        elif isinstance(h, And):
-            _assert_program_form(h.left)
-            _assert_program_form(h.right)
         elif isinstance(h, (Exists, ExistsBounded, ForallBounded)):
             _assert_program_form(h.body)
 

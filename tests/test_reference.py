@@ -2,7 +2,7 @@
 naive recursive reference interpreter over the generated corpus."""
 
 from naive_reference import RError, RFail, RSuccess, reference_leaves
-from fap.engine import EngineConfig, Error, Fail, Success, solve
+from fap.engine import EngineConfig, Error, Fail, Success, TreeStatus, solve
 from fap.normalize import load, load_query, normalize_program
 from fap.oracle import FiniteDomain, GeneratorConfig, generate
 from fap.values import EMPTY_VALUATION, Valuation
@@ -92,3 +92,50 @@ def test_engine_matches_reference_with_initial_bindings():
     )
     for binding in ({}, {"x": 2}, {"x": 3}, {"x": 3, "y": 2}, {"y": 7}):
         compare(program, Valuation(binding))
+
+
+# A declared array with three indices: its cells, its faults, a strict NOT
+# over a bound cell, and references to it passed down a chain of calls (as
+# run-time terms the callee reads through its environment).
+THREE = "array b[1..2, 0..1, 1..3] : int;\n"
+
+
+def test_engine_matches_reference_on_three_index_arrays():
+    programs = [
+        "query b[1, 0, 1] = 5 AND b[2, 1, 3] = b[1, 0, 1] + 1 AND b[2, 1, 3] = 6;",
+        "query FOR i := 1 TO 2 DO FOR k := 1 TO 3 DO b[i, k mod 2, k] = i * k END END"
+        " AND b[2, 1, 3] = z;",
+        "query b[3, 0, 1] = 1 OR b[1, 2, 1] = 1 OR b[1, 0, 0] = 1 OR b[1, 0, 1] = 2;",
+        "query b[1, 1, 2] = 4 AND NOT (b[1, 1, 2] = 3) AND z = 1;",
+        "query b[1, 1, 2] = 4 AND NOT (b[1, 1, 3] = 3) AND z = 1;",
+        "def p(u) := u = 7;\ndef r(v) := p(v);\n"
+        "query b[1, 0, 1] = 7 AND r(b[1, 0, 1]) AND NOT r(b[2, 0, 1] + 0) AND z = 1;",
+        "def p(u) := u = 7;\ndef r(v) := p(v);\n"
+        "query b[1, 0, 1] = 7 AND b[2, 0, 1] = 8 AND NOT r(b[2, 0, 1]) AND z = 1;",
+        "def p(u) := u = 7;\ndef r(v) := p(v);\n"
+        "query SOME i := 1 TO 2 DO r(b[i, 0, 1]) END AND b[2, 0, 1] = z;",
+        "def p(u) := u = 7;\ndef r(v) := p(v);\nquery r(b[x, 0, 1]) OR r(b[1, 0, 4]);",
+        # the NOT inside s checks the reference it was passed: unbound, out
+        # of range, bound
+        "def p(u) := u = 7;\ndef s(v) := NOT p(v);\n"
+        "query s(b[2, 0, 1]) OR s(b[2, 0, 4]) OR (b[2, 0, 1] = 8 AND s(b[2, 0, 1]));",
+    ]
+    for src in programs:
+        compare(load(THREE + src))
+
+
+def test_three_index_arrays_take_the_general_paths():
+    r = solve(load(THREE + "query b[1, 0, 1] = 5 AND b[2, 1, 3] = b[1, 0, 1] + 1;"))
+    assert r.solutions[0].cells == {("b", (1, 0, 1)): 5, ("b", (2, 1, 3)): 6}
+    fault = solve(load(THREE + "query b[1, 2, 1] = 1;"))
+    assert fault.error_causes == ("evaluation-fault",)
+    # closed: the NOT runs and fails
+    closed = "query b[1, 1, 2] = 4 AND NOT (b[1, 1, 2] = 4) AND z = 1;"
+    assert solve(load(THREE + closed), config=PEDANTIC).status is TreeStatus.FAILED
+    # a reference passed to p through r is read from p's environment
+    calls = ("def p(u) := u = 7;\ndef r(v) := p(v);\n"
+             "query b[1, 0, 1] = 7 AND b[2, 0, 1] = 8 AND NOT r(b[2, 0, 1]) AND z = 1;")
+    assert solve(load(THREE + calls), config=PEDANTIC).solutions == (
+        Valuation({"z": 1}, {("b", (1, 0, 1)): 7, ("b", (2, 0, 1)): 8}),)
+    out_of_range = "def p(u) := u = 7;\nquery p(b[1, 0, 4]);"
+    assert solve(load(THREE + out_of_range)).error_causes == ("evaluation-fault",)
