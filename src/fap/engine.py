@@ -15,25 +15,29 @@ Implication can additionally be rewritten through its disjunctive equivalents
 (NOT a OR b, NOT a OR (a AND b), or both) which trade success-finding power
 against failure-proving power.
 
-Bodies are never rebuilt.  A node of the tree is a goal: a formula of the
-program text under an environment, followed by the goal that runs after it.
-The environment maps each binder and procedure parameter in scope to a
-resolved term: the fresh variable a quantifier instance introduced, or the
-caller's argument with the caller's environment applied.  Atoms, bounds,
-closedness and witness checks read variables through it, so entering a
-quantifier or a procedure costs one small dict, not a copy of the body.
+Bodies are never rebuilt, and ranges are not either.  A node of the tree is
+a goal: a formula of the program text under an environment, followed by the
+goal that runs after it.  The environment maps each binder and procedure
+parameter in scope to a resolved term: the fresh variable a quantifier
+instance introduced, or the caller's argument with the caller's environment
+applied.  Atoms, bounds, closedness and witness checks read variables
+through it, so entering a quantifier or a procedure costs one small dict,
+not a copy of the body.  The rest of a bounded range is a cursor (Range):
+the program's own bounded head, the next index and the evaluated upper
+bound, as in Alma-0's and the WAM's retry choice points.  A step through a
+range reads it and builds no formula.
 
 Nor is the text walked again at every step.  The program's compiled form
 (ProgramUnit.code, a values.Code) holds one closure per atom and per bound
 the search has reached, one closedness check per negation operand and
 antecedent (the binders inside the operand are known when it is compiled),
-the argument resolvers of each call and each implication's rewrite per
-mode, each built the first time the search reaches it and reused by every
-later search of the program.  Atoms are still classified through
-classify_atom and bounds evaluated through try_eval_term, the names the
-benchmark's spans wrap.  The terms environments hold are built at run time
-and are never compiled: a chain of calls can make them arbitrarily deep, so
-they are evaluated and checked with explicit stacks.
+the argument resolvers of each call and each implication's rewrite per mode,
+each built the first time the search reaches it and reused by every later
+search of the program.  Atoms are still classified through classify_atom and
+a range's bounds evaluated, on its first step, through try_eval_term, the
+names the benchmark's spans wrap.  The terms environments hold are built at
+run time and are never compiled: a chain of calls can make them arbitrarily
+deep, so they are evaluated and checked with explicit stacks.
 
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
@@ -46,16 +50,18 @@ leaves of their sub-trees through subtree_status (which stops at the first
 success and reports the bindings it made, read off the trail), and
 iter_trace reads every node.  A trace is a lazy preorder stream of nodes
 that runs the search only as far as it is read; each node keeps its goal and
-builds its formula (the body with the environment substituted) only when it
-is asked for.  Nodes that start from the same store share one snapshot of
-it: the children of one expansion, and the children of an expansion that
-bound nothing together with their parent.  A trace copies the store once per
-store state it reaches, and each copy but the root's is a Snapshot that
-names the copy it extends and the bindings made since.
+builds its formula (the body with the environment substituted, a cursor as
+the bounded head it stands for) only when it is asked for.  Nodes that start
+from the same store share one snapshot of it: the children of one expansion,
+and the children of an expansion that bound nothing together with their
+parent.  A trace copies the store once per store state it reaches, and each
+copy but the root's is a Snapshot that names the copy it extends and the
+bindings made since.
 """
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from typing import Iterator
 
@@ -71,6 +77,7 @@ from .formulas import (
     Forall,
     ForallBounded,
     Formula,
+    Head,
     Implies,
     IntConst,
     Not,
@@ -202,6 +209,27 @@ class Goal:
         self.next = next
 
 
+class Range(Goal):
+    """The rest of a bounded range, a cursor: the program's own bounded head
+    (`formula`) from index `lo` to the evaluated upper bound `hi`, under
+    `env`, then `next`.  It prints as that head with lo and hi for bounds.
+    What a step through a SOME range leaves is a `choice`: the body under
+    `env`, which binds the index just taken, or else the rest of the range."""
+
+    __slots__ = ("lo", "hi", "choice")
+
+    def __init__(self, head: ExistsBounded | ForallBounded, lo: int, hi: int, env: Env,
+                 next: Goal | None, choice: bool = False):
+        self.formula, self.env, self.next = head, env, next
+        self.lo, self.hi, self.choice = lo, hi, choice
+
+    def head(self) -> Head:
+        """The conjunct this cursor stands for, built to be printed."""
+        h = self.formula
+        rest = type(h)(h.var, IntConst(self.lo), IntConst(self.hi), h.body)
+        return Or(h.body, Cons(rest, EMPTY)) if self.choice else rest
+
+
 def goal(f: Formula, env: Env, next: Goal | None) -> Goal | None:
     """f under env, then next.  An empty f adds nothing, so no step is
     spent on it."""
@@ -233,7 +261,8 @@ class TraceNode:
             return None
         heads, g = [], self.goal
         while g is not None:
-            heads += (subst_head(head, g.env) for head in g.formula)
+            parts = (g.head(),) if type(g) is Range else g.formula
+            heads += (subst_head(head, g.env) for head in parts)
             g = g.next
         return conj(*heads)
 
@@ -287,11 +316,9 @@ class _State(Valuation):
     __slots__ = ("trail",)
 
     def __init__(self, initial: Valuation):
-        super().__init__(initial.scalars, initial.cells)
+        super().__init__(initial.scalars)
+        self.cells = dict(initial.cells)  # its own, as push_cell writes it
         self.trail: list[str | Cell] = []
-
-    def mark(self) -> int:
-        return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
         trail = self.trail
@@ -355,6 +382,7 @@ class _Search:
         self.code = program.code
         self.fresh = FreshNames(program.fresh_base)
         self.steps = 0
+        self.limit = sys.maxsize if config.max_steps is None else config.max_steps
         self.state = _State(initial)
 
     # -- the depth-first driver ---------------------------------------------
@@ -370,17 +398,19 @@ class _Search:
         A budget cut yields _CUT at the depth of the goal it cut and ends
         the walk."""
         state = self.state
-        stack = [(g, state.mark(), 0)]
+        trail = state.trail
+        stack = [(g, len(trail), 0)]
         while stack:
             g, mark, depth = stack.pop()
-            state.undo_to(mark)
+            if len(trail) != mark:
+                state.undo_to(mark)
             try:
                 tag, outcome = self.expand(g)
             except _BudgetExceeded:
                 yield depth, g, "error", _CUT, mark
                 return
             if type(outcome) is tuple:
-                after = state.mark()
+                after = len(trail)
                 if len(outcome) == 1:  # most rules have one child
                     stack.append((outcome[0], after, depth + 1))
                 else:
@@ -403,11 +433,16 @@ class _Search:
 
     def expand(self, g: Goal | None) -> Expansion:
         self.steps += 1
-        if self.cfg.max_steps is not None and self.steps > self.cfg.max_steps:
+        if self.steps > self.limit:
             raise _BudgetExceeded()
         if g is None:
             return "empty", _SUCCEEDED
         f = g.formula
+        if type(g) is Range:  # f is the program's bounded head
+            if not g.choice:
+                return self._expand_bounded(f, g.env, g.next, g.lo, g.hi)
+            others = Range(f, g.lo, g.hi, g.env, g.next)
+            return "disjunction", (goal(f.body, g.env, g.next), others)
         head = f.head
         rest = Goal(f.tail, g.env, g.next) if type(f.tail) is Cons else g.next
         rule = _RULES.get(type(head))
@@ -484,29 +519,31 @@ class _Search:
         return "implication", ERRORS[ANTECEDENT_UNDETERMINED]
 
     def _expand_bounded(
-        self, head: ExistsBounded | ForallBounded, env: Env, rest: Goal | None
+        self, head: ExistsBounded | ForallBounded, env: Env, rest: Goal | None,
+        lo: int | None = None, hi: int | None = None,
     ) -> Expansion:
-        exists = isinstance(head, ExistsBounded)
+        """A step through a range: bind a fresh instance of head.var to lo,
+        and leave the rest of the range as a cursor from lo + 1.  The first
+        step evaluates the bounds; a cursor's steps pass them in."""
+        exists = type(head) is ExistsBounded
         tag = "bounded-exists" if exists else "bounded-forall"
-        try:
-            lo = try_eval_term(head.lo, self.state, self.code, env)
-            hi = try_eval_term(head.hi, self.state, self.code, env)
-        except EvalFault:
-            return tag, ERRORS[EVALUATION_FAULT]
-        if lo is None or hi is None:
-            return tag, ERRORS[UNBOUNDED_RANGE]
-        if lo > hi:
-            if exists:
-                return tag, FAIL
-            return tag, (rest,)
+        if lo is None:
+            try:
+                lo = try_eval_term(head.lo, self.state, self.code, env)
+                hi = try_eval_term(head.hi, self.state, self.code, env)
+            except EvalFault:
+                return tag, ERRORS[EVALUATION_FAULT]
+            if lo is None or hi is None:
+                return tag, ERRORS[UNBOUNDED_RANGE]
+        if lo > hi:  # an empty range: SOME fails, FOR holds
+            return tag, (FAIL if exists else (rest,))
         name = self.fresh.fresh(head.var)
         self.state.push_scalar(name, lo)
         inner = {**env, head.var: Var(name)}
-        # the rest of the range rebinds head.var, so it may run under `inner`
-        others = Cons(type(head)(head.var, IntConst(lo + 1), IntConst(hi), head.body), EMPTY)
         if exists:
-            return tag, (Goal(Cons(Or(head.body, others), EMPTY), inner, rest),)
-        return tag, (goal(head.body, inner, Goal(others, env, rest)),)
+            # the rest of the range rebinds head.var, so it may run under `inner`
+            return tag, (Range(head, lo + 1, hi, inner, rest, choice=True),)
+        return tag, (goal(head.body, inner, Range(head, lo + 1, hi, env, rest)),)
 
     # -- sub-tree status (negands, antecedents) -----------------------------
 
@@ -516,7 +553,7 @@ class _Search:
         the tree so FAILED really means only-failure-leaves.  The state is
         restored before returning; a budget cut propagates to the caller."""
         state = self.state
-        base = state.mark()
+        base = len(state.trail)
         saw_error = False
         try:
             for _, _, _, outcome, _ in self.walk(g):
@@ -721,13 +758,10 @@ def eval_subtree_status(
         return TreeStatus.UNDETERMINED, None
     if status is not TreeStatus.SUCCESSFUL:
         return status, None
-    witness = Valuation(a.scalars, a.cells)
+    scalars, cells = dict(a.scalars), dict(a.cells)
     for key, value in bindings:
-        if type(key) is str:
-            witness.scalars[key] = value
-        else:
-            witness.cells[key] = value
-    return status, witness
+        (scalars if type(key) is str else cells)[key] = value
+    return status, Valuation(scalars, cells)
 
 
 def iter_trace(
@@ -756,7 +790,7 @@ def iter_trace(
         if type(outcome) is tuple:
             del stores[depth + 1:]
             parent = stores[depth]
-            stores.append(parent if state.mark() == mark else state.snapshot(parent, mark))
+            stores.append(parent if len(state.trail) == mark else state.snapshot(parent, mark))
             continue
         leaf = search._leaf(outcome)
         valuation = leaf.valuation if outcome is _SUCCEEDED else None

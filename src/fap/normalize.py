@@ -13,7 +13,6 @@ from __future__ import annotations
 from .formulas import (
     Atom,
     Cons,
-    EMPTY,
     Exists,
     ExistsBounded,
     FRESH_MARK,
@@ -59,10 +58,7 @@ def _norm(f: Formula, fresh: FreshNames, names: dict[str, Term]) -> Formula:
     heads: list[Head] = []
     for h in f:
         _norm_head(h, fresh, names, heads)
-    out: Formula = EMPTY
-    for h in reversed(heads):
-        out = Cons(h, out)
-    return out
+    return conj(*heads)
 
 
 def _norm_head(h: Head, fresh: FreshNames, names: dict[str, Term], out: list[Head]) -> None:

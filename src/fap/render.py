@@ -3,10 +3,13 @@
 A tree is a TraceNode or the preorder stream of (depth, node) that
 engine.iter_trace yields.  iter_render turns it into a stream of text and
 reads one node past the node budget and stops, so a streamed search goes no
-further than the output; render joins the same stream.  Text labels are
-built from each goal's heads and environment (_Labels), not from the
-substituted formula, and a store's valuation from the text of the store it
-extends plus the bindings made since (_Valuations, engine.Snapshot).
+further than the output; render joins the same stream.  A text label is
+the text of the node's own goal part, made from its heads and environment,
+followed by the kept text of the goal after it (_Labels), and a store's
+valuation is printed from the text of the store it extends plus the
+bindings made since (_Valuations, engine.Snapshot).  The printer keeps what
+a few hundred labels need, or what the path to the last node needs, never
+more as more nodes are printed.
 
 Both renderings are deterministic (byte-identical for identical trees), list
 leaves in the tree's left-to-right order, and cap output at a node budget
@@ -21,19 +24,9 @@ from __future__ import annotations
 from bisect import bisect
 from typing import Iterable, Iterator
 
-from .engine import Error, Fail, Goal, Snapshot, Success, TraceNode
-from .formulas import (
-    Cons,
-    ExistsBounded,
-    ForallBounded,
-    Head,
-    Or,
-    format_head,
-    format_term,
-    record,
-    subst_head,
-)
-from .values import Env, Valuation, format_binding, format_valuation, valuation_entries
+from .engine import Error, Fail, Goal, Range, Snapshot, Success, TraceNode
+from .formulas import format_head, format_term, record, subst_head
+from .values import Valuation, format_binding, format_valuation, valuation_entries
 
 
 @record
@@ -88,59 +81,69 @@ def _leaf_label(node: TraceNode) -> str:
     return f"error({leaf.cause})"
 
 
-_BOUNDED = (ExistsBounded, ForallBounded)
-
-
-def _head_key(h: Head) -> object:
-    """What a head's text depends on, besides its environment: its identity,
-    except for the heads the engine builds anew for each step through a
-    range.  Those are a bounded head around a body of the program text, and
-    the SOME rule's Or(body, rest of the range), and they are keyed by their
-    structure with the body by identity."""
-    if type(h) in _BOUNDED:
-        return (type(h), id(h.body), h.var, h.lo, h.hi)
-    if type(h) is Or:
-        right = h.right
-        if type(right) is Cons and type(right.tail) is not Cons and type(right.head) in _BOUNDED:
-            return (Or, id(h.left), _head_key(right.head))
-    return id(h)
+# The most entries each label cache keeps; a full cache starts afresh, as a
+# label needs what the labels just before it used.
+ENV_CACHE, PART_CACHE, TAIL_CACHE = 64, 1024, 256
 
 
 class _Labels:
-    """Node formula text, put together from each goal part's (head, env) and
-    kept by (_head_key(head), env, in_conj, last); it equals TraceNode.formula,
-    printed.  Environments are keyed by the text of their terms: an
-    engine-fresh i$17 prints as i and never collides with a printed binder
-    name, so the instances of one quantifier share entries, and no key
-    hashes a term, which a run can nest deeper than the interpreter's stack.
-    The memos keep alive the objects whose ids key them."""
+    """Node formula text; it equals TraceNode.formula, printed.  A label is
+    its goal part's text, then that of its continuation g.next, which
+    siblings share, as do the children of a step that binds nothing with
+    their parent (`tails`, by goal).  A part's text is kept by its formula
+    (a cursor's by what its head is built from, so the head is built only
+    on a miss) and the text of its environment's terms: an engine-fresh
+    i$17 prints as i and never collides with a printed binder name, so the
+    instances of one quantifier share entries, and no key hashes a term,
+    which a run can nest deeper than the interpreter's stack.  The caches
+    hold the objects whose ids key them."""
 
     def __init__(self) -> None:
         self.envs: dict = {}  # id(env) -> (env, its key)
-        self.heads: dict = {}  # (head key, env key, in_conj, last) -> (head, text)
+        self.parts: dict = {}  # (formula key, env key, in_conj, last) -> (formula, text)
+        self.tails: dict = {}  # id(goal) -> (goal, its text after another conjunct)
 
     def formula(self, g: Goal | None) -> str:
-        parts = []
-        while g is not None:
-            env = self.envs.get(id(g.env))
-            if env is None:
-                texts = frozenset((name, format_term(t)) for name, t in g.env.items())
-                env = self.envs[id(g.env)] = (g.env, texts)
-            parts.extend((head, g.env, env[1]) for head in g.formula)
-            g = g.next
-        last = len(parts) - 1
-        return " AND ".join(
-            self._head(*part, last > 0, i == last) for i, part in enumerate(parts)
-        ) or "TRUE"
+        if g is None:
+            return "TRUE"
+        return self._part(g, False) if g.next is None else self._tail(g)
 
-    def _head(self, h: Head, env: Env, key: frozenset, in_conj: bool, last: bool) -> str:
-        memo_key = (_head_key(h), key, in_conj, last)
-        hit = self.heads.get(memo_key)
-        if hit is not None:
-            return hit[1]
-        text = format_head(subst_head(h, env), in_conj, last)
-        self.heads[memo_key] = (h, text)
+    def _tail(self, g: Goal) -> str:
+        """The text of g and the goals after it, after another conjunct."""
+        tails, todo = self.tails, []
+        while g is not None and id(g) not in tails:
+            todo.append(g)
+            g = g.next
+        text = None if g is None else tails[id(g)][1]
+        for g in reversed(todo):
+            part = self._part(g, True)
+            text = part if text is None else part + " AND " + text
+            if len(tails) == TAIL_CACHE:
+                tails.clear()
+            tails[id(g)] = (g, text)
         return text
+
+    def _part(self, g: Goal, in_conj: bool) -> str:
+        """The text of g's heads, among other conjuncts if in_conj or several."""
+        env, f, last = g.env, g.formula, g.next is None
+        hit = self.envs.get(id(env))
+        if hit is None:
+            if len(self.envs) == ENV_CACHE:
+                self.envs.clear()
+            texts = frozenset((name, format_term(t)) for name, t in env.items())
+            hit = self.envs[id(env)] = (env, texts)
+        cursor = type(g) is Range
+        key = ((id(f), g.lo, g.hi, g.choice) if cursor else id(f), hit[1], in_conj, last)
+        hit = self.parts.get(key)
+        if hit is None:
+            heads = [g.head()] if cursor else list(f)
+            in_conj, end = in_conj or len(heads) > 1, len(heads) - 1 if last else -1
+            text = " AND ".join(format_head(subst_head(h, env), in_conj, i == end)
+                                for i, h in enumerate(heads))
+            if len(self.parts) == PART_CACHE:
+                self.parts.clear()
+            hit = self.parts[key] = (f, text)
+        return hit[1]
 
 
 class _Valuations:

@@ -80,10 +80,9 @@ def run_squares(
 ) -> SquaresReport:
     """Solve (or check/complete) a tiling instance and verify any success
     against the independent coverage/disjointness checker."""
-    m = len(sizes)
-    if m == 0:
-        raise ValueError("need at least one square")
-    program = normalize_program(parse(squares_program(nx, ny, m)))
+    if any(s < 1 for s in sizes):
+        raise ValueError("square sizes must be >= 1")
+    program = normalize_program(parse(squares_program(nx, ny, len(sizes))))
     cells = {("Sizes", (k,)): s for k, s in enumerate(sizes, start=1)}
     for k, x in (partial_x or {}).items():
         cells[("posX", (k,))] = x

@@ -70,7 +70,9 @@ class EvalFault(Exception):
 
 
 class Valuation:
-    """Immutable map from variable names and array cells to values."""
+    """Immutable map from variable names and array cells to values.  The
+    valuations without cells share one empty dict, so whatever fills a
+    valuation in place gives it cells of its own first."""
 
     __slots__ = ("scalars", "cells")
 
@@ -80,21 +82,17 @@ class Valuation:
         cells: Mapping[Cell, Value] | None = None,
     ):
         self.scalars: dict[str, Value] = dict(scalars) if scalars else {}
-        self.cells: dict[Cell, Value] = dict(cells) if cells else {}
+        self.cells: dict[Cell, Value] = dict(cells) if cells else NO_CELLS
 
     def bind(self, name: str, value: Value) -> "Valuation":
         if name in self.scalars:
             raise ValueError(f"variable {name!r} is already bound")
-        out = Valuation(self.scalars, self.cells)
-        out.scalars[name] = value
-        return out
+        return Valuation({**self.scalars, name: value}, self.cells)
 
     def bind_cell(self, cell: Cell, value: Value) -> "Valuation":
         if cell in self.cells:
             raise ValueError(f"cell {cell!r} is already bound")
-        out = Valuation(self.scalars, self.cells)
-        out.cells[cell] = value
-        return out
+        return Valuation(self.scalars, {**self.cells, cell: value})
 
     def extends(self, other: "Valuation") -> bool:
         return all(self.scalars.get(k) == v for k, v in other.scalars.items()) and all(
@@ -125,6 +123,7 @@ class Valuation:
         return format_valuation(self)
 
 
+NO_CELLS: dict = {}  # shared: never written
 EMPTY_VALUATION = Valuation()
 
 
@@ -593,8 +592,6 @@ def try_eval_term(t: Term, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> Va
     """Value of a closed term of code's program, None when t is open; raises
     EvalFault on div/mod-by-zero or an out-of-range cell with closed
     indices."""
-    if type(t) is IntConst:  # also the bounds of the rest of a range, built at run time
-        return t.value
     v = code.term(t)(env, a.scalars, a.cells)
     return None if v is _OPEN else v
 

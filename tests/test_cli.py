@@ -371,7 +371,10 @@ SQUARES = ["squares", "5", "4", "4", "1", "1", "1", "1"]
     (["gen", "--depth", "0"], "error: max_depth must be >= 1"),
     ([*SQUARES, "--set", "posX[1,2]=3"], "error: squares accepts only posX[k]=v"),
     ([*SQUARES, "--set", "posX[1]=TRUE"], "error: squares accepts only posX[k]=v"),
-], ids=["gen-depth-0", "squares-two-indices", "squares-bool-value"])
+    (["squares", "5", "4", "0"], "error: square sizes must be >= 1"),
+    (["squares", "2", "1", "-1", "3"], "error: square sizes must be >= 1"),
+], ids=["gen-depth-0", "squares-two-indices", "squares-bool-value", "squares-size-0",
+        "squares-negative-size"])
 def test_bad_gen_and_squares_input_is_a_static_error(argv, message, capsys):
     code, out = exit_of(argv, capsys)
     assert code == 3 and out.out == ""

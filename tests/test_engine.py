@@ -145,6 +145,24 @@ def test_subtree_witness_of_a_closed_test_adds_nothing():
     assert status is TreeStatus.SUCCESSFUL and witness == initial
 
 
+def test_searches_that_bind_cells_leave_the_shared_empty_cells_empty():
+    p = load("array a[1..2] : int;\n"
+             "query x = 1 AND (a[1] = x OR a[2] = x + 1) AND SOME k := 1 TO 2 DO a[k] = 1 END;")
+    cellless = Valuation({"x": 1})
+    assert cellless.cells is EMPTY_VALUATION.cells  # one shared empty dict
+    earlier = solve(p)
+    before = [v.canonical() for v in earlier.solutions]
+    assert before and all(cells for _, cells in before)
+    for initial in (EMPTY_VALUATION, cellless):
+        assert solve(p, initial).solutions
+        assert list(trace(p, initial).leaves())
+        status, witness = eval_subtree_status(p, p.query, initial)
+        assert status is TreeStatus.SUCCESSFUL and witness.cells
+        assert initial.bind_cell(("a", (1,)), 3).cells == {("a", (1,)): 3}
+    assert EMPTY_VALUATION.cells == {} and cellless.cells == {}
+    assert [v.canonical() for v in earlier.solutions] == before
+
+
 def test_bool_quantifier():
     r = statuses("EXISTS b : bool . b = TRUE AND x = 1")
     assert r.status is TreeStatus.SUCCESSFUL

@@ -5,7 +5,10 @@ engine, which rebuilt every quantifier and procedure body before running it.
 The engine now resolves binders through environments and builds trace
 formulas only when they are rendered; these tests hold it to the old output.
 Small outputs are kept in full so that a failure shows the diff; the squares
-traces (0.4 and 6 MB) are kept as SHA-256 digests.
+traces (0.4 and 6 MB) are kept as SHA-256 digests.  The range cases step
+through bounded quantifiers at their edges (empty, one-element and negative
+ranges, a faulting and an open bound, bounds that read an outer binder);
+each is kept in full, its text and DOT traces in one file, and as a digest.
 
 Re-record (only after a deliberate change of output):
 
@@ -95,6 +98,45 @@ DIGEST_CASES = {
 }
 
 
+# Bounded ranges at their edges, each run with --all and traced in text and DOT.
+RANGES = {
+    "empty": "query (SOME i := 2 TO 1 DO x = i END OR FOR j := 5 TO 4 DO y = j END) AND z = 0;",
+    "one": "query SOME i := 4 TO 4 DO x = i END AND FOR j := 7 TO 7 DO y = j + x END;",
+    "negative": """\
+array a[1..3] : int;
+query SOME i := -3 TO -1 DO x = i * i END AND FOR j := -2 TO 0 DO a[j + 3] = j * x END;
+""",
+    "fault": "query SOME i := 1 TO 1 div 0 DO x = i END OR FOR j := 1 div 0 TO 2 DO y = j END "
+             "OR x = 1;",
+    "unbounded": "query SOME i := 1 TO n DO x = i END OR FOR j := m TO 2 DO y = j END "
+                 "OR (n = 2 AND SOME i := 1 TO n DO x = i END);",
+    "nested": """\
+array a[1..3] : int;
+query FOR i := 1 TO 3 DO
+  SOME j := i - 1 TO i DO a[i] = j + i AND FOR k := j TO i DO k >= j END END
+END;
+""",
+}
+
+
+def range_case(name: str, tmp: Path) -> str:
+    """The text and DOT traces of one range program; for the nested case,
+    also every leaf with internal bindings reported."""
+    path = tmp / f"{name}.fap"
+    path.write_text(RANGES[name], encoding="utf-8")
+    out = "".join(f"=== --trace {fmt}\n" + run_cli(["run", str(path), "--all", "--trace", fmt])
+                  for fmt in ("text", "dot"))
+    if name == "nested":
+        config = EngineConfig(report_internal_bindings=True)
+        result = solve(load(RANGES[name]), config=config)
+        out += "--- leaves with internal bindings\n" + "".join(f"{l!r}\n" for l in result.leaves)
+    return out
+
+
+RANGE_CASES = {f"ranges_{name}": (lambda tmp, name=name: range_case(name, tmp))
+               for name in RANGES}
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -111,14 +153,23 @@ def test_trace_matches_golden_digest(name, tmp_path):
     assert digest(DIGEST_CASES[name](tmp_path)) == want
 
 
+@pytest.mark.parametrize("name", sorted(RANGE_CASES))
+def test_range_trace_matches_golden(name, tmp_path):
+    got = RANGE_CASES[name](tmp_path)
+    assert got == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    want = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))[name]
+    assert digest(got) == want
+
+
 def record() -> None:
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, case in FULL_CASES.items():
+        for name, case in {**FULL_CASES, **RANGE_CASES}.items():
             (GOLDEN / f"{name}.txt").write_text(case(Path(tmp)), encoding="utf-8")
-        digests = {name: digest(case(Path(tmp))) for name, case in DIGEST_CASES.items()}
+        digests = {name: digest(case(Path(tmp)))
+                   for name, case in {**DIGEST_CASES, **RANGE_CASES}.items()}
     (GOLDEN / "digests.json").write_text(
         json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -10,11 +10,13 @@ equal to the formula and valuation the tree's node reports.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,7 @@ from fap.engine import (
 from fap.formulas import format_formula
 from fap.normalize import load, load_query, normalize_program
 from fap.oracle import GeneratorConfig, generate
-from fap.render import RenderOptions, render
+from fap.render import RenderOptions, iter_render, render
 from fap.squares import squares_program
 from fap.values import EMPTY_VALUATION, Valuation, format_valuation
 from test_golden import PROCEDURES
@@ -83,6 +85,46 @@ def test_every_label_is_the_nodes_formula_and_valuation(name, program, config):
             want = (f"[{node.tag}] {format_formula(node.formula)} | "
                     f"{format_valuation(node.valuation)}")
             assert line == "  " * depth + want
+
+
+def test_labels_of_a_live_stream_past_the_cache_bounds():
+    # the live stream frees goals as the search moves on, so their ids are
+    # reused; each expected label is taken as its node goes by
+    queens8 = load((ROOT / "corpus" / "queens8.fap").read_text(encoding="utf-8"))
+    want: list[str] = []
+
+    def expecting(stream):
+        for depth, node in stream:
+            if node.leaf is None:
+                want.append(f"{'  ' * depth}[{node.tag}] {format_formula(node.formula)}")
+            else:
+                want.append(None)
+            yield depth, node
+
+    opts = RenderOptions(max_nodes=20_000, show_valuations=False)
+    lines = render(expecting(iter_trace(queens8)), opts).splitlines()
+    # the renderer reads one node past its budget and prints the marker
+    assert len(want) == len(lines) == 20_001 and lines[-1].endswith("... (truncated)")
+    for line, label in zip(lines[:-1], want):
+        if label is not None:
+            assert line == label
+
+
+def test_printer_memory_is_bounded():
+    queens8 = load((ROOT / "corpus" / "queens8.fap").read_text(encoding="utf-8"))
+
+    def peak(max_nodes: int) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in iter_render(iter_trace(queens8), RenderOptions(max_nodes=max_nodes)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # caches bounded by the nodes printed made it 9.1 MB against 3.2 MB
+    assert peak(40_000) <= 1.5 * peak(10_000)
 
 
 def test_labels_of_generated_programs():
