@@ -26,16 +26,17 @@ from .engine import (
     NegationMode,
     SolveResult,
     TreeStatus,
+    check_initial,
     iter_trace,
     solve,
 )
-from .formulas import ProgramUnit, Scalar, format_program
+from .formulas import ProgramUnit, format_program
 from .normalize import normalize_program
 from .oracle import GeneratorConfig, generate
 from .parser import Diagnostic, parse
 from .render import RenderOptions, iter_render
 from .squares import run_squares
-from .values import Valuation, Value, format_binding
+from .values import Cell, Valuation, Value, valuation_entries
 
 EXIT_BY_STATUS = {
     TreeStatus.SUCCESSFUL: 0,
@@ -47,8 +48,7 @@ EXIT_INTERNAL = 4
 
 
 def format_solution(v: Valuation) -> str:
-    items = sorted(v.scalars.items()) + sorted(v.cells.items())
-    return " ".join(format_binding(k, x, "=") for k, x in items) or "(empty)"
+    return " ".join(valuation_entries(v, "=")[1]) or "(empty)"
 
 
 def format_report(report: SolveResult) -> str:
@@ -71,46 +71,26 @@ _SQUARES_SET_RE = re.compile(r"^(?P<name>posX|posY)\[(?P<idx>-?\d+)\]=(?P<value>
 
 
 def parse_bindings(program: ProgramUnit, settings: list[str]) -> Valuation:
-    """Build the initial valuation from --set flags, validating names, sorts
-    and array ranges against the program."""
+    """The initial valuation the --set flags give, each read once, checked
+    against the program by engine.check_initial; raises ValueError."""
     scalars: dict[str, Value] = {}
-    cells: dict[tuple[str, tuple[int, ...]], Value] = {}
-    free = dict(program.free_vars)
+    cells: dict[Cell, Value] = {}
     for raw in settings:
         m = _SET_RE.match(raw.strip())
         if m is None:
-            raise Diagnostic("name", f"cannot parse binding {raw!r}", 0, 0)
-        name = m.group("name")
-        value: Value
-        if m.group("value") in ("TRUE", "FALSE"):
-            value = m.group("value") == "TRUE"
+            raise ValueError(f"cannot parse binding {raw!r}")
+        name, idx, text = m.group("name", "idx", "value")
+        value = text == "TRUE" if text in ("TRUE", "FALSE") else int(text)
+        if idx is None:
+            key, target = name, scalars
         else:
-            value = int(m.group("value"))
-        if m.group("idx") is not None:
-            idx = tuple(int(p) for p in m.group("idx").split(","))
-            decl = program.array(name)
-            if decl is None:
-                raise Diagnostic("name", f"unknown array {name!r}", 0, 0)
-            if len(idx) != len(decl.ranges) or not decl.in_range(idx):
-                raise Diagnostic(
-                    "sort", f"index {list(idx)} out of range for {name!r}", 0, 0
-                )
-            if (type(value) is bool) != (decl.element is Scalar.BOOL):
-                raise Diagnostic("sort", f"cells of {name!r} hold {decl.element}", 0, 0)
-            if (name, idx) in cells:
-                raise Diagnostic("name", f"duplicate binding for {raw!r}", 0, 0)
-            cells[(name, idx)] = value
-        else:
-            if name not in free:
-                raise Diagnostic(
-                    "name", f"{name!r} is not a free variable of the query", 0, 0
-                )
-            if (type(value) is bool) != (free[name] is Scalar.BOOL):
-                raise Diagnostic("sort", f"{name!r} has sort {free[name]}", 0, 0)
-            if name in scalars:
-                raise Diagnostic("name", f"duplicate binding for {name!r}", 0, 0)
-            scalars[name] = value
-    return Valuation(scalars, cells)
+            key, target = (name, tuple(int(p) for p in idx.split(","))), cells
+        if key in target:
+            raise ValueError(f"duplicate binding for {raw!r}")
+        target[key] = value
+    initial = Valuation(scalars, cells)
+    check_initial(program, initial)
+    return initial
 
 
 def engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -148,7 +128,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATIC
     try:
@@ -278,12 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # fap's integers are unbounded, and so is their text, until main returns
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # a crash must never read as a verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ a goal: a formula of the program text under an environment, followed by the
 goal that runs after it.  The environment maps each binder and procedure
 parameter in scope to a resolved term: the fresh variable a quantifier
 instance introduced, or the caller's argument with the caller's environment
-applied.  Atoms, bounds, closedness and witness checks read variables
+substituted.  Atoms, bounds, closedness and witness checks read variables
 through it, so entering a quantifier or a procedure costs one small dict,
 not a copy of the body.  The rest of a bounded range is a cursor (Range):
 the program's own bounded head, the next index and the evaluated upper
@@ -30,14 +30,14 @@ range reads it and builds no formula.
 Nor is the text walked again at every step.  The program's compiled form
 (ProgramUnit.code, a values.Code) holds one closure per atom and per bound
 the search has reached, one closedness check per negation operand and
-antecedent (the binders inside the operand are known when it is compiled),
-the argument resolvers of each call and each implication's rewrite per mode,
-each built the first time the search reaches it and reused by every later
-search of the program.  Atoms are still classified through classify_atom and
-a range's bounds evaluated, on its first step, through try_eval_term, the
-names the benchmark's spans wrap.  The terms environments hold are built at
-run time and are never compiled: a chain of calls can make them arbitrarily
-deep, so they are evaluated and checked with explicit stacks.
+antecedent (the binders inside the operand are known when it is compiled)
+and each implication's rewrite per mode, each built the first time the
+search reaches it and reused by every later search of the program.  Atoms
+are still classified through classify_atom and a range's bounds evaluated,
+on its first step, through try_eval_term, the names the benchmark's spans
+wrap.  The terms environments hold are built at run time (subst_term) and
+are never compiled: a chain of calls can make them arbitrarily deep, so
+they are evaluated and checked with explicit stacks.
 
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
@@ -92,16 +92,17 @@ from .formulas import (
     head_parts,
     record,
     subst_head,
+    subst_term,
     subterms,
 )
 from .normalize import FreshNames
 from .values import (
-    Arrays,
     Assignment,
     CLOSED_FALSE,
     CLOSED_TRUE,
     Cell,
     Code,
+    Decls,
     EMPTY_ENV,
     EMPTY_VALUATION,
     Env,
@@ -110,7 +111,6 @@ from .values import (
     Value,
     classify_atom,
     closed_checks,
-    compile_resolver,
     try_eval_term,
 )
 
@@ -475,17 +475,11 @@ class _Search:
         return "exists", (goal(head.body, inner, rest),)
 
     def _expand_call(self, head: Call, env: Env, rest: Goal | None) -> Expansion:
-        params, args, body = self.code.part(("call", id(head)), head, lambda: self._call(head))
-        callee = {name: arg(env) for name, arg in zip(params, args)}
-        return "procedure-unfold", (goal(body, callee, rest),)
-
-    def _call(self, head: Call) -> tuple:
-        """(parameter names, argument resolvers, body) of a call."""
         proc = self.code.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
-        params = tuple(name for name, _ in proc.params)
-        return params, tuple(compile_resolver(arg) for arg in head.args), proc.body
+        callee = {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, head.args)}
+        return "procedure-unfold", (goal(proc.body, callee, rest),)
 
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
         closed = self.formula_closed(head.body, env)
@@ -615,15 +609,15 @@ class _Search:
                 proc = code.procedures.get(name)
                 if proc is None:
                     return False
-                callee = {p: arg(env) for (p, _), arg in zip(proc.params, args)}
+                callee = {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, args)}
                 todo.append((proc.body, inner, callee))
         return True
 
 
-def _closed(f: Formula, bound: frozenset[str], arrays: Arrays) -> tuple[tuple, tuple]:
+def _closed(f: Formula, bound: frozenset[str], arrays: Decls) -> tuple[tuple, tuple]:
     """The closedness check of f, met with the binders `bound`: the checks
     of its terms, each term checked once, in written order, and its calls,
-    each as (procedure name, argument resolvers, binders met at the call).
+    each as (procedure name, arguments, binders met at the call).
     A name bound inside f is not in the environment f is checked under."""
     checks, calls, seen = [], [], set()
     todo = [(f, frozenset())]  # (formula, the binders met inside f)
@@ -640,8 +634,7 @@ def _closed(f: Formula, bound: frozenset[str], arrays: Arrays) -> tuple[tuple, t
                     seen.add((part, local))
                     checks.append(check)
         if type(h) is Call:
-            args = tuple(compile_resolver(arg) for arg in h.args)
-            calls.append((h.name, args, bound | local))
+            calls.append((h.name, h.args, bound | local))
         inner = local if var is None else local | {var}
         todo += ((sub, inner) for sub in reversed(subs))
     return tuple(checks), tuple(calls)
@@ -685,14 +678,15 @@ def _start(
     """A search of `program` from `initial`, after checking both."""
     if not program.normalized:
         raise ValueError("program must be normalized before execution")
-    search = _Search(program, config, initial)
     if check:
-        _check_initial(initial, search.code)
-    return search
+        check_initial(program, initial)
+    return _Search(program, config, initial)
 
 
-def _check_initial(initial: Valuation, code: Code) -> None:
-    free, arrays = code.free, code.arrays
+def check_initial(program: ProgramUnit, initial: Valuation) -> None:
+    """Raise ValueError unless initial binds only free variables of the
+    query and cells of declared arrays, each in range and of its sort."""
+    free, arrays = program.code.free, program.code.arrays
     for name, value in initial.scalars.items():
         if name not in free:
             raise ValueError(f"{name!r} is not a free variable of the query")
@@ -700,7 +694,7 @@ def _check_initial(initial: Valuation, code: Code) -> None:
         if (type(value) is bool) != (want is Scalar.BOOL):
             raise ValueError(f"value for {name!r} must have sort {want}")
     for (array, idx), value in initial.cells.items():
-        decl = arrays.by_name.get(array)
+        decl = arrays.get(array)
         if decl is None:
             raise ValueError(f"unknown array {array!r}")
         if not decl.in_range(idx):

@@ -50,7 +50,11 @@ from .formulas import (
     record,
     subterms,
 )
-from .values import Valuation, Value, apply_relation
+from .values import Valuation, Value
+
+# Not values._RELATIONS, so that a wrong entry there shows as a disagreement.
+_RELATIONS = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b, ">": lambda a, b: a > b,
+              ">=": lambda a, b: a >= b, "<>": lambda a, b: a != b}
 
 
 @record
@@ -114,7 +118,7 @@ class _Eval:
         if isinstance(h, Eq):
             return self.term(h.lhs, env) == self.term(h.rhs, env)
         if isinstance(h, Rel):
-            return apply_relation(h.op, self.term(h.lhs, env), self.term(h.rhs, env))
+            return _RELATIONS[h.op](self.term(h.lhs, env), self.term(h.rhs, env))
         if isinstance(h, Call):
             proc = self.program.procedure(h.name)  # presence checked up front
             args = [self.term(t, env) for t in h.args]

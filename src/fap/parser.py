@@ -96,10 +96,15 @@ class Token:
         self.col = col
 
 
+# int() reads this many digits under any sys.set_int_max_str_digits limit.
+_DIGITS_READ_ALWAYS = 640
+
+
 def tokenize(source: str) -> list[Token]:
     """The tokens of source, then "eof".  A number is a run of decimal digits
-    (str.isdecimal, what int() reads); a name starts with a letter or "_" and
-    goes on with letters, digits and "_" (str.isalnum)."""
+    (str.isdecimal, what int() reads, up to sys.get_int_max_str_digits()); a
+    name starts with a letter or "_" and goes on with letters, digits and "_"
+    (str.isalnum)."""
     tokens: list[Token] = []
     append = tokens.append
     line, col, i = 1, 1, 0
@@ -120,6 +125,11 @@ def tokenize(source: str) -> list[Token]:
         elif c.isdecimal():
             while j < n and source[j].isdecimal():
                 j += 1
+            if j - i > _DIGITS_READ_ALWAYS:  # it may be more than int() reads
+                try:
+                    int(source[i:j])
+                except ValueError:
+                    raise Diagnostic(SYNTAX, f"number too long ({j - i} digits)", line, col)
             append(Token("number", source[i:j], line, col))
         elif c == "#":  # to the end of the line, which keeps its column
             i = source.find("\n", i)

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from .engine import Error, Fail, Goal, Range, Snapshot, Success, TraceNode
 from .formulas import format_head, format_term, record, subst_head
-from .values import Valuation, format_binding, format_valuation, valuation_entries
+from .values import Valuation, entry_key, format_binding, format_valuation, valuation_entries
 
 
 @record
@@ -167,7 +167,7 @@ class _Valuations:
                     return text
                 keys, texts = keys.copy(), texts.copy()
                 for key, value in v.bindings:
-                    k = (0, key) if type(key) is str else (1, key)  # as valuation_entries
+                    k = entry_key(key)
                     j = bisect(keys, k)
                     keys.insert(j, k)
                     texts.insert(j, format_binding(key, value))

@@ -28,7 +28,7 @@ a chain of calls made them.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .formulas import (
     App,
@@ -135,11 +135,16 @@ def format_binding(key: str | Cell, v: Value, sep: str = "/") -> str:
     return f"{key[0]}[{','.join(map(str, key[1]))}]{sep}{text}"
 
 
-def valuation_entries(a: Valuation) -> tuple[list[tuple], list[str]]:
-    """a's keys in printing order, (0, name) then (1, cell), and each entry's text."""
-    items = sorted([((0, k), v) for k, v in a.scalars.items()]
-                   + [((1, k), v) for k, v in a.cells.items()])
-    return [k for k, _ in items], [format_binding(k[1], v) for k, v in items]
+def entry_key(key: str | Cell) -> tuple:
+    """Where an entry goes in a printed valuation: scalars, then cells, each
+    in sorted order."""
+    return (0, key) if type(key) is str else (1, key)
+
+
+def valuation_entries(a: Valuation, sep: str = "/") -> tuple[list[tuple], list[str]]:
+    """a's entry keys in printing order, and each entry's text."""
+    items = sorted((entry_key(k), v) for d in (a.scalars, a.cells) for k, v in d.items())
+    return [k for k, _ in items], [format_binding(k[1], v, sep) for k, v in items]
 
 
 def format_valuation(a: Valuation) -> str:
@@ -172,13 +177,6 @@ def _mod(lhs: int, rhs: int) -> int:
 _FUNCTIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "div": _div, "mod": _mod}
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
               "<>": operator.ne}
-
-
-def apply_relation(op: str, lhs: int, rhs: int) -> bool:
-    fn = _RELATIONS.get(op)
-    if fn is None:
-        raise ValueError(f"unknown relation {op!r}")
-    return fn(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,39 +218,27 @@ AtomCode = Callable[[Env, dict, dict], AtomClass]
 # Arrays and compiled code
 
 
-class Arrays:
-    """The declared arrays of a program unit, and the compiler of atoms
-    against them.  Each call compiles afresh; Code keeps what it compiles."""
-
-    def __init__(self, decls: Iterable[ArrayDecl] = ()):
-        self.by_name = {d.name: d for d in decls}
-
-    def decl(self, name: str) -> ArrayDecl:
-        return self.by_name[name]
-
-    def atom(self, a: Atom) -> AtomCode:
-        return compile_atom(a, self)
-
-
-NO_ARRAYS = Arrays()
+# array name -> its declaration: the declared arrays of a program unit
+Decls = Mapping[str, ArrayDecl]
+NO_ARRAYS: Decls = {}  # shared: never written
 
 
 class Code:
     """The compiled form of one program unit, built part by part: a term or
     atom is compiled the first time it is asked for, and so is each part the
-    engine compiles (closedness checks, implication rewrites, call
-    arguments).  The table is keyed by the identity of program-text nodes
-    and keeps every node it is keyed by alive, so no key is ever reused by
-    another node.  Give it only nodes of the program text: a node built at
-    run time would be compiled on every visit and kept for good.  The
-    compiled code refers to `arrays`, never to the table, so a program and
-    its code are freed together when the program is.  Searches also read
-    the procedures by name and the query's free variables' sorts off it."""
+    engine compiles (closedness checks, implication rewrites).  The table is
+    keyed by the identity of program-text nodes and keeps every node it is
+    keyed by alive, so no key is ever reused by another node.  Give it only
+    nodes of the program text: a node built at run time would be compiled on
+    every visit and kept for good.  The compiled code refers to `arrays`,
+    never to the table, so a program and its code are freed together when
+    the program is.  Searches also read the procedures by name and the
+    query's free variables' sorts off it."""
 
     __slots__ = ("arrays", "procedures", "free", "table", "_keep")
 
     def __init__(self, program: ProgramUnit):
-        self.arrays = Arrays(program.arrays) if program.arrays else NO_ARRAYS
+        self.arrays = {d.name: d for d in program.arrays} if program.arrays else NO_ARRAYS
         self.procedures = {p.name: p for p in program.procedures}
         self.free = dict(program.free_vars)
         # id(term or atom) -> its code; (kind, id(node), ...) -> an engine part
@@ -307,7 +293,7 @@ def _constant(t: Term):
     return _OPEN
 
 
-def compile_term(t: Term, arrays: Arrays) -> TermCode:
+def compile_term(t: Term, arrays: Decls) -> TermCode:
     """t as a closure (env, scalars, cells) -> value or _OPEN; it raises
     EvalFault where t faults."""
     value = _constant(t)
@@ -334,7 +320,7 @@ def compile_term(t: Term, arrays: Arrays) -> TermCode:
     raise TypeError(f"unknown term {t!r}")
 
 
-def _compile_app(t: App, arrays: Arrays) -> TermCode:
+def _compile_app(t: App, arrays: Decls) -> TermCode:
     fn = _FUNCTIONS[t.op]
     lhs, rhs = t.args
     k = _constant(rhs)
@@ -355,13 +341,13 @@ def _compile_app(t: App, arrays: Arrays) -> TermCode:
     return app
 
 
-def _ranges(t: ArrayRef, arrays: Arrays) -> tuple:
+def _ranges(t: ArrayRef, arrays: Decls) -> tuple:
     """The declared ranges of t's array when they match its indices."""
-    decl = arrays.by_name.get(t.array)
+    decl = arrays.get(t.array)
     return decl.ranges if decl is not None and len(decl.ranges) == len(t.indices) else ()
 
 
-def _compile_ref(t: ArrayRef, arrays: Arrays) -> TermCode:
+def _compile_ref(t: ArrayRef, arrays: Decls) -> TermCode:
     """The value of the cell t refers to; references with one or two indices
     read and range-check them inline."""
     ranges = _ranges(t, arrays)
@@ -384,7 +370,7 @@ def _compile_ref(t: ArrayRef, arrays: Arrays) -> TermCode:
     return ref
 
 
-def compile_cell(t: ArrayRef, arrays: Arrays) -> TermCode:
+def compile_cell(t: ArrayRef, arrays: Decls) -> TermCode:
     """The cell t refers to as a closure: _OPEN while an index is open (the
     later indices are then not read); a closed index outside the declared
     range faults."""
@@ -424,32 +410,15 @@ def compile_cell(t: ArrayRef, arrays: Arrays) -> TermCode:
                 return _OPEN
             key.append(v)
         key = tuple(key)
-        if not arrays.decl(name).in_range(key):
+        if not arrays[name].in_range(key):
             raise EvalFault(FAULT_RANGE)
         return (name, key)
 
     return cell
 
 
-def compile_resolver(t: Term) -> Callable[[Env], Term]:
-    """t as a closure env -> t with every name env binds replaced by its
-    term: a call's argument as the callee's environment holds it."""
-    kind = type(t)
-    if kind is Var:
-        return lambda env, name=t.name, t=t: env.get(name, t)
-    if kind is App:
-        f, g = (compile_resolver(x) for x in t.args)
-        return lambda env, op=t.op, f=f, g=g: App(op, (f(env), g(env)))
-    if kind is ArrayRef:
-        parts = tuple(compile_resolver(x) for x in t.indices)
-        return lambda env, array=t.array, parts=parts: ArrayRef(
-            array, tuple(f(env) for f in parts)
-        )
-    return lambda env, t=t: t
-
-
 def closed_checks(
-    t: Term, arrays: Arrays, bound: frozenset[str]
+    t: Term, arrays: Decls, bound: frozenset[str]
 ) -> list[tuple[Term, Callable[[Env, dict, dict], bool]]]:
     """(part, check) pairs whose checks together say t is closed inside a
     formula whose binders met so far are `bound`: every variable has a value
@@ -473,7 +442,7 @@ def closed_checks(
     return checks
 
 
-def _closed_var(name: str, arrays: Arrays, bound: frozenset[str]):
+def _closed_var(name: str, arrays: Decls, bound: frozenset[str]):
     def closed_var(env, scalars, cells, name=name, arrays=arrays, bound=bound):
         resolved = env.get(name)
         if resolved is None:
@@ -502,7 +471,7 @@ def _closed_ref(cell_of: TermCode):
 # stack and never compiled.
 
 
-def value_of(t: Term, scalars: dict, cells: dict, arrays: Arrays = NO_ARRAYS):
+def value_of(t: Term, scalars: dict, cells: dict, arrays: Decls = NO_ARRAYS):
     """Value of t under an empty environment: the value, _OPEN when t reads
     an unbound variable or cell, or EvalFault.  Both arguments of a function
     are read before it applies; the indices of a reference are read in order
@@ -539,7 +508,7 @@ def value_of(t: Term, scalars: dict, cells: dict, arrays: Arrays = NO_ARRAYS):
                     t = node.indices[len(parts)]
                     break
                 key = tuple(parts)
-                if not arrays.decl(node.array).in_range(key):
+                if not arrays[node.array].in_range(key):
                     raise EvalFault(FAULT_RANGE)
                 v = cells.get((node.array, key), _OPEN)
             stack.pop()
@@ -547,7 +516,7 @@ def value_of(t: Term, scalars: dict, cells: dict, arrays: Arrays = NO_ARRAYS):
             return v
 
 
-def cell_value(t: ArrayRef, scalars: dict, cells: dict, arrays: Arrays):
+def cell_value(t: ArrayRef, scalars: dict, cells: dict, arrays: Decls):
     """The cell a run-time reference denotes, _OPEN while an index is open."""
     key = []
     for i in t.indices:
@@ -556,13 +525,13 @@ def cell_value(t: ArrayRef, scalars: dict, cells: dict, arrays: Arrays):
             return _OPEN
         key.append(v)
     key = tuple(key)
-    if not arrays.decl(t.array).in_range(key):
+    if not arrays[t.array].in_range(key):
         raise EvalFault(FAULT_RANGE)
     return (t.array, key)
 
 
 def closed_value(
-    t: Term, bound: frozenset[str], scalars: dict, cells: dict, arrays: Arrays
+    t: Term, bound: frozenset[str], scalars: dict, cells: dict, arrays: Decls
 ) -> bool:
     """Whether a run-time term is closed: each variable has a value or is in
     bound, and each array reference denotes a bound cell."""
@@ -596,7 +565,7 @@ def try_eval_term(t: Term, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> Va
     return None if v is _OPEN else v
 
 
-def is_closed(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> bool:
+def is_closed(t: Term, a: Valuation, arrays: Decls = NO_ARRAYS) -> bool:
     """True iff every variable of t is bound and every array reference has
     closed indices whose cell is bound.  Faulting terms count as not closed;
     the fault itself surfaces when the atom is classified or evaluated."""
@@ -606,7 +575,7 @@ def is_closed(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> bool:
         return False
 
 
-def eval_term(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> Value:
+def eval_term(t: Term, a: Valuation, arrays: Decls = NO_ARRAYS) -> Value:
     """Evaluate a closed term; raises EvalFault on partial-function holes."""
     v = value_of(t, a.scalars, a.cells, arrays)
     if v is _OPEN:
@@ -618,13 +587,12 @@ def eval_term(t: Term, a: Valuation, arrays: Arrays = NO_ARRAYS) -> Value:
 # Compiling atoms
 
 
-def classify_atom(
-    atom: Atom, a: Valuation, arrays: Arrays = NO_ARRAYS, env: Env = EMPTY_ENV
-) -> AtomClass:
-    """Decide the evaluation case for an atom under env and a valuation.
-    Procedure calls are unfolded by the engine before classification and are
-    rejected here.  Faults are reported in-band via NotEvaluable.fault."""
-    return arrays.atom(atom)(env, a.scalars, a.cells)
+def classify_atom(atom: Atom, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> AtomClass:
+    """Decide the evaluation case for an atom of code's program under env
+    and a valuation.  Procedure calls are unfolded by the engine before
+    classification and are rejected here.  Faults are reported in-band via
+    NotEvaluable.fault."""
+    return code.atom(atom)(env, a.scalars, a.cells)
 
 
 def _closed_true(env, scalars, cells):
@@ -635,7 +603,7 @@ def _closed_false(env, scalars, cells):
     return CLOSED_FALSE
 
 
-def compile_atom(atom: Atom, arrays: Arrays) -> AtomCode:
+def compile_atom(atom: Atom, arrays: Decls) -> AtomCode:
     """atom as a closure (env, scalars, cells) -> its class.  Atoms that
     read nothing share one closure per class."""
     kind = type(atom)
@@ -652,7 +620,7 @@ def compile_atom(atom: Atom, arrays: Arrays) -> AtomCode:
     raise TypeError(f"unknown atom {atom!r}")
 
 
-def _compile_rel(atom: Rel, arrays: Arrays) -> AtomCode:
+def _compile_rel(atom: Rel, arrays: Decls) -> AtomCode:
     op = _RELATIONS[atom.op]
     lk, rk = _constant(atom.lhs), _constant(atom.rhs)
     if lk is not _OPEN and rk is not _OPEN:
@@ -672,7 +640,7 @@ def _compile_rel(atom: Rel, arrays: Arrays) -> AtomCode:
     return rel
 
 
-def _compile_eq(atom: Eq, arrays: Arrays) -> AtomCode:
+def _compile_eq(atom: Eq, arrays: Decls) -> AtomCode:
     """Each side is read once.  An open side that is a bare variable or an
     array reference with closed indices is what an assignment binds.  An
     equation between variables and constants reads its variables inline."""
@@ -719,7 +687,7 @@ def _compile_eq(atom: Eq, arrays: Arrays) -> AtomCode:
     return eq
 
 
-def _side(t: Term, arrays: Arrays) -> tuple[TermCode | None, TermCode | None, str | None]:
+def _side(t: Term, arrays: Decls) -> tuple[TermCode | None, TermCode | None, str | None]:
     """How an equation side is read: (its value, or None when it is an array
     reference, read through its cell), (its cell, or None), and the name a
     bare variable side binds through the environment."""
@@ -728,7 +696,7 @@ def _side(t: Term, arrays: Arrays) -> tuple[TermCode | None, TermCode | None, st
     return compile_term(t, arrays), None, t.name if type(t) is Var else None
 
 
-def _eq_var_k(name: str, k: Value, arrays: Arrays) -> AtomCode:
+def _eq_var_k(name: str, k: Value, arrays: Decls) -> AtomCode:
     """x = k, or k = x."""
     def eq_var_k(env, scalars, cells, name=name, k=k, arrays=arrays):
         bound = env.get(name)
@@ -746,7 +714,7 @@ def _eq_var_k(name: str, k: Value, arrays: Arrays) -> AtomCode:
     return eq_var_k
 
 
-def _eq_vars(lname: str, rname: str, arrays: Arrays) -> AtomCode:
+def _eq_vars(lname: str, rname: str, arrays: Decls) -> AtomCode:
     """x = y."""
     def eq_vars(env, scalars, cells, lname=lname, rname=rname, arrays=arrays):
         lhs = env.get(lname, None)
@@ -770,7 +738,7 @@ def _constant_term(v: Value) -> Term:
     return BoolConst(v) if type(v) is bool else IntConst(v)
 
 
-def _classify_eq(lhs: Term, rhs: Term, scalars: dict, cells: dict, arrays: Arrays) -> AtomClass:
+def _classify_eq(lhs: Term, rhs: Term, scalars: dict, cells: dict, arrays: Decls) -> AtomClass:
     """lhs = rhs between terms built at run time."""
     try:
         lv = value_of(lhs, scalars, cells, arrays)
@@ -788,7 +756,7 @@ def _classify_eq(lhs: Term, rhs: Term, scalars: dict, cells: dict, arrays: Array
     return NOT_EVALUABLE if target is _OPEN else Assignment(target, value)
 
 
-def _target(name: str | None, env: Env, scalars: dict, cells: dict, arrays: Arrays):
+def _target(name: str | None, env: Env, scalars: dict, cells: dict, arrays: Decls):
     """What an open bare-variable side binds: the variable, or what the
     environment resolves it to when that is a variable or a reference with
     closed indices; _OPEN when there is nothing to bind."""
@@ -797,7 +765,7 @@ def _target(name: str | None, env: Env, scalars: dict, cells: dict, arrays: Arra
     return _resolved_target(env.get(name) or Var(name), scalars, cells, arrays)
 
 
-def _resolved_target(t: Term, scalars: dict, cells: dict, arrays: Arrays):
+def _resolved_target(t: Term, scalars: dict, cells: dict, arrays: Decls):
     """What an open run-time term binds: itself when it is a variable, its
     cell when it is a reference with closed indices, else _OPEN."""
     if type(t) is Var:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import fap
 from fap.engine import Success
 from fap.formulas import (
     Atom,
@@ -35,14 +36,12 @@ from fap.formulas import (
 
 _counter = itertools.count(1)
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
 def fap_env() -> dict[str, str]:
-    """The environment of a child process that imports fap from this
-    checkout's src, whether or not PYTHONPATH names it."""
+    """The environment of a child process that imports the fap this process
+    imported, whatever else PYTHONPATH names."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    src = str(Path(fap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 
 

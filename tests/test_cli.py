@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import fap
 from helpers import fap_env, run_fap
 from fap.cli import build_parser, engine_config, format_solution, main, parse_bindings
 from fap.engine import EngineConfig, ImplicationMode, NegationMode
@@ -75,6 +76,41 @@ def test_a_digit_that_is_not_decimal_exits_three_with_its_position(tmp_path):
     proc = run_cli("run", str(bad))
     assert proc.returncode == 3
     assert proc.stderr.strip() == f"{bad}:1:11: syntax error: unexpected character '²'"
+
+
+def test_a_source_that_is_not_utf8_exits_three(tmp_path, capsys):
+    bad = tmp_path / "bad.fap"
+    bad.write_bytes(b"query x = 1;\xff\n")
+    code, out = exit_of(["run", str(bad)], capsys)
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+# 10**100, and 10**5000: 5,001 digits, more than Python's default limit on
+# int text, so the tests spell them out as strings
+BIG, BIGGER = "1" + "0" * 100, "1" + "0" * 5000
+
+
+def test_integers_past_the_interpreters_text_limit_print_in_full(tmp_path, capsys):
+    path = tmp_path / "big.fap"
+    path.write_text(f"query x = {BIG} AND y = {' * '.join(['x'] * 50)};\n")
+    code, out = exit_of(["run", str(path)], capsys)
+    assert code == 0, out.err
+    assert out.out.splitlines()[0] == f"x={BIG} y={BIGGER}"
+    code, out = exit_of(["run", str(path), "--trace", "text"], capsys)
+    assert code == 0, out.err
+    assert f"success {{x/{BIG}, y/{BIGGER}}}" in out.out
+
+
+def test_a_literal_past_the_interpreters_text_limit_reads_in_full(tmp_path, capsys):
+    path = tmp_path / "literal.fap"
+    path.write_text(f"query x = {BIGGER};\n")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out = exit_of(["run", str(path)], capsys)
+    assert code == 0, out.err
+    assert out.out.splitlines()[0] == f"x={BIGGER}"
+    if limit is not None:  # main lifts the limit only while it runs
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_static_error_exits_three(tmp_path):
@@ -404,13 +440,13 @@ def test_parse_bindings_scalars_and_cells():
 def test_parse_bindings_rejects_bad_input():
     program = load("array a[1..2] : int;\nquery x = 1 AND a[1] = 0;")
     for bad in ("y=1", "a[3]=1", "a[1,2]=1", "x=TRUE", "x=", "a[1]=TRUE", "x=1x"):
-        with pytest.raises(Diagnostic):
+        with pytest.raises(ValueError):
             parse_bindings(program, [bad])
 
 
 def test_parse_bindings_rejects_duplicates():
     program = load("query x = 1;")
-    with pytest.raises(Diagnostic):
+    with pytest.raises(ValueError):
         parse_bindings(program, ["x=1", "x=2"])
 
 
@@ -418,3 +454,50 @@ def test_format_solution_empty_and_sorted():
     assert format_solution(Valuation()) == "(empty)"
     v = Valuation({"b": 1, "a": 2}, {("z", (1,)): True})
     assert format_solution(v) == "a=2 b=1 z[1]=TRUE"
+
+
+FAP_SET = """array a[1..2] : int;
+array b[1..2, 1..2] : bool;
+query x = 1 AND a[1] = 2 AND b[1, 2] = TRUE;
+"""
+
+
+@pytest.mark.parametrize("settings", [
+    ["nope=1"], ["a=1"], ["x[1]=1"], ["c[1]=1"],
+    ["a[3]=1"], ["b[1,3]=TRUE"],
+    ["x=TRUE"], ["a[1]=TRUE"], ["b[1,2]=1"],
+    ["a[1,2]=1"], ["b[1]=TRUE"],
+    ["x="], ["x=1x"], ["a[]=1"], ["=1"],
+    ["x=1", "x=1"], ["a[1]=2", "a[1]=3"],
+], ids=["unknown-name", "array-as-scalar", "scalar-as-array", "unknown-array",
+        "index-out-of-range", "second-index-out-of-range",
+        "bool-for-int", "bool-for-int-cell", "int-for-bool-cell",
+        "too-many-indices", "too-few-indices",
+        "no-value", "bad-value", "no-index", "no-name",
+        "duplicate-scalar", "duplicate-cell"])
+def test_a_bad_set_is_a_static_error_without_a_made_up_position(settings, tmp_path, capsys):
+    path = tmp_path / "set.fap"
+    path.write_text(FAP_SET)
+    argv = ["run", str(path)]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out = exit_of(argv, capsys)
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("error: ") and ":0:0:" not in out.err
+    assert "internal error" not in out.err
+
+
+def test_a_good_set_runs_as_before(tmp_path, capsys):
+    path = tmp_path / "set.fap"
+    path.write_text(FAP_SET)
+    argv = ["run", str(path), "--set", "x=1", "--set", "a[1]=2", "--set", "b[1,2]=TRUE"]
+    code, out = exit_of(argv, capsys)
+    assert code == 0 and out.out.splitlines()[0] == "x=1 a[1]=2 b[1,2]=TRUE"
+    code, out = exit_of(["run", str(path), "--set", "a[1]=3"], capsys)
+    assert code == 1 and "status: FAILED" in out.out
+
+
+def test_a_child_imports_the_fap_this_process_imported():
+    proc = subprocess.run([sys.executable, "-c", "import fap; print(fap.__file__)"],
+                          env=fap_env(), capture_output=True, text=True, check=True)
+    assert Path(proc.stdout.strip()).resolve() == Path(fap.__file__).resolve()

@@ -1,6 +1,9 @@
+import operator
+
 import pytest
 
-from fap.formulas import format_program, free_vars
+from fap import values
+from fap.formulas import IntConst, Rel, conj, format_program, free_vars
 from fap.normalize import load, load_query, normalize_program
 from fap.oracle import (
     FiniteDomain,
@@ -237,3 +240,9 @@ def test_arrays_and_quantifiers_profile():
             visit(proc.body, False)
         assert free_vars(parse(format_program(pu)).query) == free_vars(pu.query)
     assert seen == {"cell", "Exists", "Forall"}
+
+
+def test_the_oracle_keeps_its_own_relations(monkeypatch):
+    # a wrong entry in the engine's table must not mislead its reference too
+    monkeypatch.setitem(values._RELATIONS, "<", operator.le)
+    assert oracle_truth(conj(Rel("<", IntConst(1), IntConst(1))), EMPTY_VALUATION) is False

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from fap.engine import solve
@@ -310,3 +312,18 @@ def test_long_conjunction_parses_in_linear_time():
 
     # four times the conjuncts: about 4x when linear, 16x when quadratic
     assert parse_time(8000) / parse_time(2000) < 8
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="int() reads any number of digits before Python 3.11")
+def test_a_literal_longer_than_int_reads_is_a_positioned_syntax_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(Diagnostic) as err:
+            parse("query x = 0 OR\n  x = " + "1" * 5001 + ";")
+        assert parse("query x = " + "1" * 4300 + ";").query.head.rhs.value == int("1" * 4300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (err.value.kind, err.value.line, err.value.col) == (SYNTAX, 2, 7)
+    assert "5001 digits" in err.value.message

@@ -9,15 +9,16 @@ from fap.formulas import (
     BoolConst,
     Eq,
     IntConst,
+    ProgramUnit,
     Rel,
     Scalar,
     Var,
 )
 from fap.values import (
-    Arrays,
     Assignment,
     ClosedFalse,
     ClosedTrue,
+    Code,
     EMPTY_VALUATION,
     EvalFault,
     NotEvaluable,
@@ -27,8 +28,14 @@ from fap.values import (
     is_closed,
 )
 
-A = Arrays([ArrayDecl("a", ((0, 4),), Scalar.INT),
-            ArrayDecl("m", ((1, 3), (1, 3)), Scalar.INT)])
+ARRAYS = (ArrayDecl("a", ((0, 4),), Scalar.INT),
+          ArrayDecl("m", ((1, 3), (1, 3)), Scalar.INT))
+A = {d.name: d for d in ARRAYS}
+
+
+def code() -> Code:
+    """A throwaway program with ARRAYS, whose code compiles ad-hoc atoms."""
+    return Code(ProgramUnit(arrays=ARRAYS))
 X, Y = Var("x"), Var("y")
 
 
@@ -120,7 +127,7 @@ def test_binding_does_not_mutate_the_original():
 # -- classification -----------------------------------------------------------
 
 def test_assignment_from_closed_side():
-    got = classify_atom(Eq(Y, plus(X, IntConst(1))), Valuation({"x": 2}))
+    got = classify_atom(Eq(Y, plus(X, IntConst(1))), Valuation({"x": 2}), code())
     assert got == Assignment("y", 3)
 
 
@@ -128,49 +135,50 @@ def test_closed_false_equation():
     got = classify_atom(
         Eq(App("*", (IntConst(2), X)), App("*", (IntConst(3), Y))),
         Valuation({"x": 2, "y": 3}),
+        code(),
     )
     assert got == ClosedFalse()
 
 
 def test_relation_with_unbound_side_is_not_evaluable():
-    assert classify_atom(Rel("<", X, IntConst(1)), EMPTY_VALUATION) == NotEvaluable()
+    assert classify_atom(Rel("<", X, IntConst(1)), EMPTY_VALUATION, code()) == NotEvaluable()
 
 
 def test_array_cell_assignment():
     got = classify_atom(
         Eq(ArrayRef("m", (Var("i"), Var("j"))), IntConst(5)),
         Valuation({"i": 1, "j": 2}),
-        A,
+        code(),
     )
     assert got == Assignment(("m", (1, 2)), 5)
 
 
 def test_bound_cell_equation_is_an_ordinary_test():
     v = Valuation({}, {("a", (0,)): 5})
-    assert classify_atom(Eq(ArrayRef("a", (IntConst(0),)), IntConst(5)), v, A) == ClosedTrue()
-    assert classify_atom(Eq(ArrayRef("a", (IntConst(0),)), IntConst(6)), v, A) == ClosedFalse()
+    assert classify_atom(Eq(ArrayRef("a", (IntConst(0),)), IntConst(5)), v, code()) == ClosedTrue()
+    assert classify_atom(Eq(ArrayRef("a", (IntConst(0),)), IntConst(6)), v, code()) == ClosedFalse()
 
 
 def test_two_unbound_variables_do_not_unify():
-    assert classify_atom(Eq(X, Y), EMPTY_VALUATION) == NotEvaluable()
+    assert classify_atom(Eq(X, Y), EMPTY_VALUATION, code()) == NotEvaluable()
 
 
 def test_compound_open_side_is_not_an_assignment():
-    assert classify_atom(Eq(plus(X, IntConst(1)), IntConst(5)), EMPTY_VALUATION) == NotEvaluable()
+    assert classify_atom(Eq(plus(X, IntConst(1)), IntConst(5)), EMPTY_VALUATION, code()) == NotEvaluable()
 
 
 def test_bool_equations_assign():
-    got = classify_atom(Eq(Var("b", Scalar.BOOL), BoolConst(True)), EMPTY_VALUATION)
+    got = classify_atom(Eq(Var("b", Scalar.BOOL), BoolConst(True)), EMPTY_VALUATION, code())
     assert got == Assignment("b", True)
 
 
 def test_fault_is_reported_in_band():
-    got = classify_atom(Eq(X, App("div", (IntConst(1), IntConst(0)))), EMPTY_VALUATION)
+    got = classify_atom(Eq(X, App("div", (IntConst(1), IntConst(0)))), EMPTY_VALUATION, code())
     assert isinstance(got, NotEvaluable) and got.fault is not None
 
 
 def test_out_of_range_assignment_faults():
-    got = classify_atom(Eq(ArrayRef("a", (IntConst(9),)), IntConst(1)), EMPTY_VALUATION, A)
+    got = classify_atom(Eq(ArrayRef("a", (IntConst(9),)), IntConst(1)), EMPTY_VALUATION, code())
     assert isinstance(got, NotEvaluable) and got.fault is not None
 
 
@@ -180,8 +188,8 @@ def test_classification_symmetry():
             Valuation({"x": 0}, {("a", (0,)): 3})]
     for lhs, rhs in itertools.product(sides, repeat=2):
         for v in vals:
-            left = classify_atom(Eq(lhs, rhs), v, A)
-            right = classify_atom(Eq(rhs, lhs), v, A)
+            left = classify_atom(Eq(lhs, rhs), v, code())
+            right = classify_atom(Eq(rhs, lhs), v, code())
             assert type(left) is type(right)
             if isinstance(left, Assignment):
                 assert left == right
@@ -199,8 +207,8 @@ def test_closed_atoms_agree_with_ground_truth():
     }
     consts = range(-2, 3)
     for a, b in itertools.product(consts, repeat=2):
-        got = classify_atom(Eq(IntConst(a), IntConst(b)), EMPTY_VALUATION)
+        got = classify_atom(Eq(IntConst(a), IntConst(b)), EMPTY_VALUATION, code())
         assert got == (ClosedTrue() if a == b else ClosedFalse())
         for op, fn in ops.items():
-            got = classify_atom(Rel(op, IntConst(a), IntConst(b)), EMPTY_VALUATION)
+            got = classify_atom(Rel(op, IntConst(a), IntConst(b)), EMPTY_VALUATION, code())
             assert got == (ClosedTrue() if fn(a, b) else ClosedFalse())
