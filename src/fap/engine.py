@@ -42,7 +42,9 @@ they are evaluated and checked with explicit stacks.
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
 an immutable Valuation snapshot, so solve/trace stay pure functions of
-(program, initial valuation, config) including leaf order.
+(program, initial valuation, config) including leaf order.  Before its first
+step a call checks and copies only what the initial valuation holds, and a
+success leaf copies the store once.
 
 One depth-first loop, _Search.walk, explores every tree: solve and
 iter_leaves read its leaves, the negation and implication rules read the
@@ -316,8 +318,7 @@ class _State(Valuation):
     __slots__ = ("trail",)
 
     def __init__(self, initial: Valuation):
-        super().__init__(initial.scalars)
-        self.cells = dict(initial.cells)  # its own, as push_cell writes it
+        self.scalars, self.cells = dict(initial.scalars), dict(initial.cells)  # written in place
         self.trail: list[str | Cell] = []
 
     def undo_to(self, mark: int) -> None:
@@ -376,11 +377,11 @@ _CUT = ERRORS[STEP_BUDGET]
 Expansion = tuple[str, "tuple[Goal | None, ...] | Leaf | object"]
 
 
-class _Search:
+class _Search(FreshNames):
     def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation):
+        self.next_id = program.fresh_base  # it names instances on from the binders
         self.cfg = config
         self.code = program.code
-        self.fresh = FreshNames(program.fresh_base)
         self.steps = 0
         self.limit = sys.maxsize if config.max_steps is None else config.max_steps
         self.state = _State(initial)
@@ -414,7 +415,7 @@ class _Search:
                 if len(outcome) == 1:  # most rules have one child
                     stack.append((outcome[0], after, depth + 1))
                 else:
-                    stack.extend((c, after, depth + 1) for c in reversed(outcome))
+                    stack += [(c, after, depth + 1) for c in reversed(outcome)]
                 if not every_node:
                     continue
             yield depth, g, tag, outcome, mark
@@ -426,8 +427,10 @@ class _Search:
         if self.cfg.report_internal_bindings:
             return Success(state.snapshot())
         free = self.code.free
-        kept = {k: v for k, v in state.scalars.items() if k in free}
-        return Success(Valuation(kept, state.cells))
+        kept = Valuation.__new__(Valuation)  # as Valuation() would copy it again
+        kept.scalars = {k: v for k, v in state.scalars.items() if k in free}
+        kept.cells = dict(state.cells) if state.cells else EMPTY_VALUATION.cells
+        return Success(kept)
 
     # -- single-node expansion ----------------------------------------------
 
@@ -471,7 +474,7 @@ class _Search:
         return "disjunction", (goal(head.left, env, rest), goal(head.right, env, rest))
 
     def _expand_exists(self, head: Exists, env: Env, rest: Goal | None) -> Expansion:
-        inner = {**env, head.var: Var(self.fresh.fresh(head.var), head.sort)}
+        inner = {**env, head.var: Var(self.fresh(head.var), head.sort)}
         return "exists", (goal(head.body, inner, rest),)
 
     def _expand_call(self, head: Call, env: Env, rest: Goal | None) -> Expansion:
@@ -531,7 +534,7 @@ class _Search:
                 return tag, ERRORS[UNBOUNDED_RANGE]
         if lo > hi:  # an empty range: SOME fails, FOR holds
             return tag, (FAIL if exists else (rest,))
-        name = self.fresh.fresh(head.var)
+        name = self.fresh(head.var)
         self.state.push_scalar(name, lo)
         inner = {**env, head.var: Var(name)}
         if exists:
@@ -678,7 +681,7 @@ def _start(
     """A search of `program` from `initial`, after checking both."""
     if not program.normalized:
         raise ValueError("program must be normalized before execution")
-    if check:
+    if check and (initial.scalars or initial.cells):
         check_initial(program, initial)
     return _Search(program, config, initial)
 
@@ -724,15 +727,19 @@ def solve(
     UNDETERMINED otherwise."""
     search = _start(program, initial, config)
     leaves: list[Leaf] = []
-    successes = 0
+    successes = errors = 0
     for _, _, _, outcome, _ in search.walk(goal(program.query, EMPTY_ENV, None)):
-        leaf = search._leaf(outcome)
-        leaves.append(leaf)
-        if outcome is _SUCCEEDED:
-            successes += 1
-            if successes == config.solution_limit:
-                break
-    return SolveResult(tuple(leaves), status_of(leaves), search.steps)
+        if outcome is not _SUCCEEDED:
+            leaves.append(outcome)
+            errors += type(outcome) is Error
+            continue
+        leaves.append(search._leaf(outcome))
+        successes += 1
+        if successes == config.solution_limit:
+            break
+    status = (TreeStatus.SUCCESSFUL if successes
+              else TreeStatus.UNDETERMINED if errors else TreeStatus.FAILED)
+    return SolveResult(tuple(leaves), status, search.steps)
 
 
 def eval_subtree_status(

@@ -11,6 +11,7 @@ dict each: corpora hold thousands of programs, and results pile up as well.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -319,9 +320,6 @@ class ProgramUnit:
     normalized: bool = False
     fresh_base: int = 1
 
-    def array(self, name: str) -> ArrayDecl | None:
-        return next((a for a in self.arrays if a.name == name), None)
-
     def procedure(self, name: str) -> ProcedureDef | None:
         return next((p for p in self.procedures if p.name == name), None)
 
@@ -473,6 +471,17 @@ _TERM_ADD, _TERM_MUL, _TERM_ATOM = 1, 2, 3
 _MUL_OPS = ("*", "div", "mod")
 
 
+def int_text(v: int) -> str:
+    """str(v), also past the length of text sys.set_int_max_str_digits lets
+    str() make, whose limit stays: a longer v is printed as two halves."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or v.bit_length() <= 3 * limit:  # then v has at most limit digits
+        return str(v)
+    half = v.bit_length() * 3 // 20  # about half of v's digits
+    high, low = divmod(abs(v), 10 ** half)
+    return "-" * (v < 0) + int_text(high) + int_text(low).zfill(half)
+
+
 def format_term(t: Term, names: Mapping[str, str] | None = None) -> str:
     """t as text, each variable by its name in `names`, else its surface name.
     A stack, not recursion: a term built at run time can nest arbitrarily."""
@@ -485,7 +494,7 @@ def format_term(t: Term, names: Mapping[str, str] | None = None) -> str:
             continue
         t, level = item
         if isinstance(t, IntConst):
-            s = str(t.value)
+            s = int_text(t.value)
             out.append(f"({s})" if t.value < 0 and level >= _TERM_MUL else s)
         elif isinstance(t, BoolConst):
             out.append("TRUE" if t.value else "FALSE")

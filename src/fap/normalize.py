@@ -10,6 +10,7 @@ the same result.
 
 from __future__ import annotations
 
+from . import parser
 from .formulas import (
     Atom,
     Cons,
@@ -31,6 +32,7 @@ from .formulas import (
     subst_head,
     subst_term,
 )
+from .values import Code
 
 
 class FreshNames:
@@ -56,8 +58,9 @@ def _norm(f: Formula, fresh: FreshNames, names: dict[str, Term]) -> Formula:
     """f in program form, with each variable that names maps renamed: the
     binders around f, renamed on the way down, so each body is built once."""
     heads: list[Head] = []
-    for h in f:
-        _norm_head(h, fresh, names, heads)
+    while type(f) is Cons:
+        _norm_head(f.head, fresh, names, heads)
+        f = f.tail
     return conj(*heads)
 
 
@@ -100,7 +103,7 @@ def normalize_program(p: ProgramUnit) -> ProgramUnit:
         for proc in p.procedures
     )
     query = _norm(p.query, fresh, {})
-    return ProgramUnit(
+    unit = ProgramUnit(
         arrays=p.arrays,
         procedures=procs,
         query=query,
@@ -108,16 +111,14 @@ def normalize_program(p: ProgramUnit) -> ProgramUnit:
         normalized=True,
         fresh_base=fresh.next_id,
     )
+    unit.__dict__["code"] = Code(unit)  # made now: the lazy ProgramUnit.code locks
+    return unit
 
 
 def load(source: str) -> ProgramUnit:
     """parse + normalize in one step."""
-    from .parser import parse
-
-    return normalize_program(parse(source))
+    return normalize_program(parser.parse(source))
 
 
 def load_query(source: str) -> ProgramUnit:
-    from .parser import parse_query
-
-    return normalize_program(parse_query(source))
+    return normalize_program(parser.parse_query(source))

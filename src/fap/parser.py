@@ -45,7 +45,6 @@ from .formulas import (
     concat,
     head_parts,
     record,
-    term_args,
 )
 
 SYNTAX = "syntax"
@@ -151,9 +150,9 @@ def tokenize(source: str) -> list[Token]:
 
 
 # Every walk over formulas and terms recurses once per level, some through
-# several frames, so inputs nest at most this deep: as written (NOT, bodies,
-# parentheses, indices; counted while parsing) and as built (checked after
-# parsing by _check_depth, where a + b + c nests one sum in the other).
+# several frames, so inputs nest at most this deep, both counted while
+# parsing: as written (NOT, bodies, parentheses, indices) and as built, where
+# a + b + c nests one sum in the other.
 _MAX_NESTING = 150
 _TOO_DEEP = "nesting too deep"
 
@@ -169,15 +168,25 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # how deep the node last read nests as built: a level for each head or
+        # term inside another, three for FORALL (NOT EXISTS NOT once normalized)
+        self.height = 0
         self.called: set[str] = set()  # the names called in the statement being read
         self.callees: dict[str, set[str]] = {}  # procedure -> self.called of its body
-        self.after: dict[int, str] = {}  # index of a "(" -> kind of the token after its ")"
-        opened: list[int] = []
-        for i, t in enumerate(tokens):
-            if t.kind == "(":
-                opened.append(i)
-            elif t.kind == ")" and opened:
-                self.after[opened.pop()] = tokens[i + 1].kind
+        self.closed: dict[int, str | None] = {}  # index of a "(" -> after() of it
+
+    def after(self, i: int) -> str | None:
+        """The kind of the token after the ")" closing the "(" at i, if any."""
+        if i not in self.closed:
+            tokens, opened, j = self.tokens, [i], i
+            while opened and tokens[j].kind != "eof":
+                j += 1
+                if tokens[j].kind == "(":
+                    opened.append(j)
+                elif tokens[j].kind == ")":
+                    self.closed[opened.pop()] = tokens[j + 1].kind
+            self.closed.update(dict.fromkeys(opened))  # never closed
+        return self.closed[i]
 
     # -- token plumbing ----------------------------------------------------
 
@@ -280,38 +289,40 @@ class _Parser:
             raise self.fail(_TOO_DEEP)
 
     def statement(self, where: Token) -> Formula:
-        """A definition body or the query, checked by _check_depth.  Each
-        level of nesting takes a token of its own, so a formula of at most
-        _MAX_NESTING tokens is not walked."""
+        """A definition body or the query, refused at `where` if built too deep."""
         self.called = set()
-        start = self.pos
         f = self.formula()
-        if self.pos - start > _MAX_NESTING:
-            _check_depth(f, where)
+        if self.height > _MAX_NESTING:
+            raise Diagnostic(SYNTAX, _TOO_DEEP, where.line, where.col)
         return f
 
     def formula(self) -> Formula:
-        parts = [self.disjunction()]
+        parts = [(self.disjunction(), self.height)]
         while self.accept("->"):
-            parts.append(self.disjunction())
-        f = parts.pop()
-        for part in reversed(parts):  # right associative
-            f = Cons(Implies(part, f), EMPTY)
+            parts.append((self.disjunction(), self.height))
+        f, height = parts.pop()
+        for part, h in reversed(parts):  # right associative
+            f, height = Cons(Implies(part, f), EMPTY), 1 + max(h, height)
+        self.height = height
         return f
 
     def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
+        parts = [(self.conjunction(), self.height)]
         while self.accept("OR"):
-            parts.append(self.conjunction())
-        f = parts.pop()
-        for part in reversed(parts):
-            f = Cons(Or(part, f), EMPTY)
+            parts.append((self.conjunction(), self.height))
+        f, height = parts.pop()
+        for part, h in reversed(parts):
+            f, height = Cons(Or(part, f), EMPTY), 1 + max(h, height)
+        self.height = height
         return f
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
+        height = self.height
         while self.accept("AND"):
             parts.append(self.unary())
+            height = height if height > self.height else self.height
+        self.height = height
         # joined from the right: a head is consed once, and a parenthesized
         # formula's spine is rebuilt once
         f: Formula = EMPTY
@@ -327,23 +338,28 @@ class _Parser:
             self.pos += 1
             body = self.unary()
             h = Not(body if isinstance(body, Formula) else Cons(body, EMPTY))
+            self.height += 1
         elif kind == "EXISTS" or kind == "FORALL":
             self.pos += 1
             name = self.take("ident").text
             sort = self.scalar_sort() if self.accept(":") else Scalar.INT
             self.take(".")
             h = (Exists if kind == "EXISTS" else Forall)(name, sort, self.formula())
+            self.height += 1 if kind == "EXISTS" else 3
         elif kind == "SOME" or kind == "FOR":
             self.pos += 1
             name = self.take("ident").text
             self.take(":=")
             lo = self.term()
+            height = self.height
             self.take("TO")
             hi = self.term()
+            height = max(height, self.height)
             self.take("DO")
             body = self.formula()
             self.take("END")
             h = (ExistsBounded if kind == "SOME" else ForallBounded)(name, lo, hi, body)
+            self.height = 1 + max(height, self.height)
         else:
             h = self.primary()
         self.depth -= 1
@@ -358,9 +374,9 @@ class _Parser:
         kind = tokens[mark].kind
         call = kind == "ident" and tokens[mark + 1].kind == "("
         if kind == "(":
-            after = self.after.get(mark)  # None if it is never closed
+            after = self.after(mark)
         elif call:
-            after = self.after.get(mark + 1)
+            after = self.after(mark + 1)
         elif kind == "TRUE" or kind == "FALSE":
             after = tokens[mark + 1].kind
         else:
@@ -369,13 +385,13 @@ class _Parser:
             depth = self.depth
             try:
                 lhs = self.term()
+                height = self.height
                 op = tokens[self.pos].kind
-                if op == "=":
+                if op == "=" or op in RELATIONS:
                     self.pos += 1
-                    return Eq(lhs, self.term())
-                if op in RELATIONS:
-                    self.pos += 1
-                    return Rel(op, lhs, self.term())
+                    rhs = self.term()
+                    self.height = 1 + (height if height > self.height else self.height)
+                    return Eq(lhs, rhs) if op == "=" else Rel(op, lhs, rhs)
             except Diagnostic as diag:
                 if diag.message == _TOO_DEEP:
                     raise
@@ -388,6 +404,7 @@ class _Parser:
         if kind == "TRUE" or kind == "FALSE":
             self.pos += 1
             self.depth -= 1
+            self.height = 0
             return TRUE if kind == "TRUE" else FALSE
         if call:
             self.pos += 1
@@ -407,11 +424,15 @@ class _Parser:
     def call_args(self) -> tuple[Term, ...]:
         self.take("(")
         args: list[Term] = []
+        height = -1  # so that self.height, the call's, is 0 when it has none
         if not self.at(")"):
             args.append(self.term())
+            height = self.height
             while self.accept(","):
                 args.append(self.term())
+                height = max(height, self.height)
         self.take(")")
+        self.height = height + 1
         return tuple(args)
 
     # -- terms ---------------------------------------------------------------
@@ -422,7 +443,9 @@ class _Parser:
         tokens = self.tokens
         while (op := tokens[self.pos].kind) == "+" or op == "-":
             self.pos += 1
+            height = self.height
             t = App(op, (t, self.addend()))
+            self.height = 1 + (height if height > self.height else self.height)
         self.depth -= 1
         return t
 
@@ -431,13 +454,16 @@ class _Parser:
         tokens = self.tokens
         while (op := tokens[self.pos].kind) in _MUL_OPS:
             self.pos += 1
+            height = self.height
             t = App(op, (t, self.factor()))
+            self.height = 1 + (height if height > self.height else self.height)
         return t
 
     def factor(self) -> Term:
         t = self.tokens[self.pos]
         kind = t.kind
         self.pos += 1
+        self.height = 0  # a constant or a variable; a longer term counts again
         if kind == "number":
             return IntConst(int(t.text))
         if kind == "ident":
@@ -446,9 +472,12 @@ class _Parser:
                 return _CallTerm(t.text, self.call_args(), t.line, t.col)
             if self.accept("["):
                 indices = [self.term()]
+                height = self.height
                 while self.accept(","):
                     indices.append(self.term())
+                    height = max(height, self.height)
                 self.take("]")
+                self.height = height + 1
                 return ArrayRef(t.text, tuple(indices))
             return Var(t.text)
         if kind == "-":
@@ -465,24 +494,6 @@ class _Parser:
 
 # ---------------------------------------------------------------------------
 # Semantic checks
-
-
-def _check_depth(f: Formula, where: Token) -> None:
-    """Reject f if it nests deeper than _MAX_NESTING, counting one level for
-    each head or term inside another and three for FORALL, which
-    normalization turns into NOT EXISTS NOT."""
-    todo: list[tuple[Formula | Term, int]] = [(f, 0)]
-    while todo:
-        x, depth = todo.pop()
-        if depth > _MAX_NESTING:
-            raise Diagnostic(SYNTAX, _TOO_DEEP, where.line, where.col)
-        if not isinstance(x, Formula):
-            todo += ((t, depth + 1) for t in term_args(x))
-            continue
-        for h in x:
-            terms, subs, _ = head_parts(h)
-            inner = depth + (3 if isinstance(h, Forall) else 1)
-            todo += ((part, inner) for part in (*terms, *subs))
 
 
 def _check_acyclic(callees: dict[str, set[str]], where: dict[str, Token]) -> None:
@@ -530,16 +541,17 @@ class _SortChecker:
             self.check_head(h, env, may_introduce)
 
     def check_head(self, h: Head, env: dict[str, Scalar], intro: bool) -> None:
-        if isinstance(h, Eq):
+        kind = type(h)
+        if kind is Eq:
             ls = self.term_sort(h.lhs, env, intro)
             rs = self.term_sort(h.rhs, env, intro)
             if ls is not rs:
                 self.err(SORT, f"'=' needs identical sorts, got {ls} and {rs}")
-        elif isinstance(h, Rel):
+        elif kind is Rel:
             for side in (h.lhs, h.rhs):
                 if self.term_sort(side, env, intro) is not Scalar.INT:
                     self.err(SORT, f"relation {h.op!r} needs integer operands")
-        elif isinstance(h, Call):
+        elif kind is Call:
             proc = self.procs.get(h.name)
             if proc is None:
                 self.err(NAME, f"unknown procedure {h.name!r}")
@@ -550,12 +562,12 @@ class _SortChecker:
                 got = self.term_sort(arg, env, intro)
                 if got is not psort:
                     self.err(SORT, f"argument {pname!r} of {h.name!r} needs {psort}, got {got}")
-        elif isinstance(h, (Or, Implies, Not, TrueAtom, FalseAtom)):
+        elif kind in (Or, Implies, Not, TrueAtom, FalseAtom):
             for sub in head_parts(h)[1]:
                 self.check_formula(sub, env, intro)
-        elif isinstance(h, (Exists, Forall)):
+        elif kind is Exists or kind is Forall:
             self.check_scoped(h.var, h.sort, h.body, env, intro)
-        elif isinstance(h, (ExistsBounded, ForallBounded)):
+        elif kind is ExistsBounded or kind is ForallBounded:
             for side in (h.lo, h.hi):
                 if self.term_sort(side, env, intro) is not Scalar.INT:
                     self.err(SORT, "quantifier bounds must be integers")

@@ -45,6 +45,7 @@ from .formulas import (
     Term,
     TrueAtom,
     Var,
+    int_text,
     record,
 )
 
@@ -129,7 +130,7 @@ EMPTY_VALUATION = Valuation()
 
 def format_binding(key: str | Cell, v: Value, sep: str = "/") -> str:
     """One entry of a printed valuation: x/1 or a[1,2]/TRUE."""
-    text = ("TRUE" if v else "FALSE") if type(v) is bool else str(v)
+    text = ("TRUE" if v else "FALSE") if type(v) is bool else int_text(v)
     if type(key) is str:
         return f"{key}{sep}{text}"
     return f"{key[0]}[{','.join(map(str, key[1]))}]{sep}{text}"
@@ -245,23 +246,9 @@ class Code:
         self.table: dict = {}
         self._keep: list = []  # the nodes whose ids key the table
 
-    def term(self, t: Term) -> TermCode:
-        code = self.table.get(id(t))
-        if code is None:
-            code = self.table[id(t)] = compile_term(t, self.arrays)
-            self._keep.append(t)
-        return code
-
-    def atom(self, a: Atom) -> AtomCode:
-        code = self.table.get(id(a))
-        if code is None:
-            code = self.table[id(a)] = compile_atom(a, self.arrays)
-            self._keep.append(a)
-        return code
-
-    def part(self, key: tuple, node: object, build: Callable[[], object]):
-        """What build() returns for node, under key (which holds id(node)),
-        built the first time it is asked for."""
+    def part(self, key: int | tuple, node: object, build: Callable[[], object]):
+        """What build() returns for node, under key (id(node), or a tuple
+        that holds it), built the first time it is asked for."""
         hit = self.table.get(key)
         if hit is None:
             hit = self.table[key] = build()
@@ -561,7 +548,9 @@ def try_eval_term(t: Term, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> Va
     """Value of a closed term of code's program, None when t is open; raises
     EvalFault on div/mod-by-zero or an out-of-range cell with closed
     indices."""
-    v = code.term(t)(env, a.scalars, a.cells)
+    if type(t) is IntConst:  # a constant bound needs no code
+        return t.value
+    v = code.part(id(t), t, lambda: compile_term(t, code.arrays))(env, a.scalars, a.cells)
     return None if v is _OPEN else v
 
 
@@ -592,7 +581,9 @@ def classify_atom(atom: Atom, a: Valuation, code: Code, env: Env = EMPTY_ENV) ->
     and a valuation.  Procedure calls are unfolded by the engine before
     classification and are rejected here.  Faults are reported in-band via
     NotEvaluable.fault."""
-    return code.atom(atom)(env, a.scalars, a.cells)
+    compiled = (code.table.get(id(atom))
+                or code.part(id(atom), atom, lambda: compile_atom(atom, code.arrays)))
+    return compiled(env, a.scalars, a.cells)
 
 
 def _closed_true(env, scalars, cells):

@@ -115,7 +115,7 @@ def test_arrays_parse_and_sort_check():
     p = parse("array a[1..3, 0..1] : int;\nquery a[1, 0] = 5;")
     (h,) = heads(p)
     assert isinstance(h, Eq) and isinstance(h.lhs, ArrayRef)
-    assert p.array("a").ranges == ((1, 3), (0, 1))
+    assert [(d.name, d.ranges) for d in p.arrays] == [("a", ((1, 3), (0, 1)))]
 
 
 def test_negative_range_bounds_and_literals():
@@ -130,7 +130,7 @@ def test_bool_arrays_and_params():
         "def set(b : bool) := flag[1] = b;\n"
         "query set(TRUE) AND flag[2] = FALSE;"
     )
-    assert p.array("flag").element is Scalar.BOOL
+    assert [(d.name, d.element) for d in p.arrays] == [("flag", Scalar.BOOL)]
 
 
 def test_sort_error_bool_int_mix():
