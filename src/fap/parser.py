@@ -423,17 +423,21 @@ class _Parser:
 
     def call_args(self) -> tuple[Term, ...]:
         self.take("(")
-        args: list[Term] = []
-        height = -1  # so that self.height, the call's, is 0 when it has none
-        if not self.at(")"):
-            args.append(self.term())
-            height = self.height
-            while self.accept(","):
-                args.append(self.term())
-                height = max(height, self.height)
-        self.take(")")
+        if self.accept(")"):
+            self.height = 0  # a call of no arguments nests nothing
+            return ()
+        return self.terms(")")
+
+    def terms(self, close: str) -> tuple[Term, ...]:
+        """term ("," term)* close; self.height is then that of a node over them."""
+        items = [self.term()]
+        height = self.height
+        while self.accept(","):
+            items.append(self.term())
+            height = max(height, self.height)
+        self.take(close)
         self.height = height + 1
-        return tuple(args)
+        return tuple(items)
 
     # -- terms ---------------------------------------------------------------
 
@@ -471,14 +475,7 @@ class _Parser:
                 self.called.add(t.text)
                 return _CallTerm(t.text, self.call_args(), t.line, t.col)
             if self.accept("["):
-                indices = [self.term()]
-                height = self.height
-                while self.accept(","):
-                    indices.append(self.term())
-                    height = max(height, self.height)
-                self.take("]")
-                self.height = height + 1
-                return ArrayRef(t.text, tuple(indices))
+                return ArrayRef(t.text, self.terms("]"))
             return Var(t.text)
         if kind == "-":
             return IntConst(-int(self.take("number").text))
@@ -537,8 +534,9 @@ class _SortChecker:
         """env maps known variables to sorts.  When may_introduce is set,
         unknown variables default to INT and are added to env (query free
         variables); inside procedure bodies unknown variables are errors."""
-        for h in f:
-            self.check_head(h, env, may_introduce)
+        while type(f) is Cons:
+            self.check_head(f.head, env, may_introduce)
+            f = f.tail
 
     def check_head(self, h: Head, env: dict[str, Scalar], intro: bool) -> None:
         kind = type(h)
