@@ -28,14 +28,14 @@ bound, as in Alma-0's and the WAM's retry choice points.  A step through a
 range reads it and builds no formula.
 
 Nor is the text walked again at every step.  The program's compiled form
-(ProgramUnit.code, a values.Code) holds one closure per atom and per bound
-the search has reached, one closedness check per negation operand and
-antecedent (the binders inside the operand are known when it is compiled)
-and each implication's rewrite per mode, each built the first time the
-search reaches it and reused by every later search of the program.  Atoms
-are still classified through classify_atom and a range's bounds evaluated,
-on its first step, through try_eval_term, the names the benchmark's spans
-wrap.  The terms environments hold are built at run time (subst_term) and
+(ProgramUnit.code, a values.Code) holds one closure per atom and per
+non-constant bound the search has reached, one closedness check per negation
+operand and antecedent (the binders inside the operand are known when it is
+compiled) and each implication's rewrite per mode, each built the first time
+the search reaches it and reused by every later search of the program.
+Atoms are still classified through classify_atom and a range's bounds
+evaluated, on its first step, through try_eval_term, the names the
+benchmark's spans wrap.  The terms environments hold are built at run time (subst_term) and
 are never compiled: a chain of calls can make them arbitrarily deep, so
 they are evaluated and checked with explicit stacks.
 
@@ -378,8 +378,14 @@ Expansion = tuple[str, "tuple[Goal | None, ...] | Leaf | object"]
 
 
 class _Search(FreshNames):
-    def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation):
-        self.next_id = program.fresh_base  # it names instances on from the binders
+    def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation,
+                 check: bool = True):
+        """A search of `program` from `initial`, after checking both."""
+        if not program.normalized:
+            raise ValueError("program must be normalized before execution")
+        if check and (initial.scalars or initial.cells):
+            check_initial(program, initial)
+        self.next_id = program.fresh_base  # instances are named on from the binders
         self.cfg = config
         self.code = program.code
         self.steps = 0
@@ -427,7 +433,7 @@ class _Search(FreshNames):
         if self.cfg.report_internal_bindings:
             return Success(state.snapshot())
         free = self.code.free
-        kept = Valuation.__new__(Valuation)  # as Valuation() would copy it again
+        kept = Valuation.__new__(Valuation)  # filled here: Valuation() would copy again
         kept.scalars = {k: v for k, v in state.scalars.items() if k in free}
         kept.cells = dict(state.cells) if state.cells else EMPTY_VALUATION.cells
         return Success(kept)
@@ -675,17 +681,6 @@ _RULES = {
 # Public entry points
 
 
-def _start(
-    program: ProgramUnit, initial: Valuation, config: EngineConfig, check: bool = True
-) -> _Search:
-    """A search of `program` from `initial`, after checking both."""
-    if not program.normalized:
-        raise ValueError("program must be normalized before execution")
-    if check and (initial.scalars or initial.cells):
-        check_initial(program, initial)
-    return _Search(program, config, initial)
-
-
 def check_initial(program: ProgramUnit, initial: Valuation) -> None:
     """Raise ValueError unless initial binds only free variables of the
     query and cells of declared arrays, each in range and of its sort."""
@@ -712,7 +707,7 @@ def iter_leaves(
     config: EngineConfig = EngineConfig(),
 ) -> Iterator[Leaf]:
     """Lazy left-to-right leaf sequence of the query's computation tree."""
-    search = _start(program, initial, config)
+    search = _Search(program, config, initial)
     for _, _, _, outcome, _ in search.walk(goal(program.query, EMPTY_ENV, None)):
         yield search._leaf(outcome)
 
@@ -725,7 +720,7 @@ def solve(
     """Explore the tree (respecting solution/step limits) and classify it:
     SUCCESSFUL with the success leaves found, FAILED when every leaf failed,
     UNDETERMINED otherwise."""
-    search = _start(program, initial, config)
+    search = _Search(program, config, initial)
     leaves: list[Leaf] = []
     successes = errors = 0
     for _, _, _, outcome, _ in search.walk(goal(program.query, EMPTY_ENV, None)):
@@ -751,7 +746,7 @@ def eval_subtree_status(
     """Status of the tree of (f, a): SUCCESSFUL with the first success leaf as
     witness, FAILED only after exhaustive exploration, else UNDETERMINED.
     f need not be part of the program, so it runs on code of its own."""
-    search = _start(program, a, config, check=False)
+    search = _Search(program, config, a, check=False)
     search.code = Code(program)
     try:
         status, bindings = search.subtree_status(goal(f, EMPTY_ENV, None))
@@ -776,7 +771,7 @@ def iter_trace(
     budget exhaustion a step-budget error node, at the depth of the goal it
     cut, ends the stream.  Nodes expanded under the same store share one
     snapshot of it, a Snapshot of the store it extends but at the root."""
-    search = _start(program, initial, config)
+    search = _Search(program, config, initial)
     state = search.state
     successes = 0
     # stores[d] is the store the nodes at depth d start from: their parent's,

@@ -111,7 +111,7 @@ def normalize_program(p: ProgramUnit) -> ProgramUnit:
         normalized=True,
         fresh_base=fresh.next_id,
     )
-    unit.__dict__["code"] = Code(unit)  # made now: the lazy ProgramUnit.code locks
+    unit.__dict__["code"] = Code(unit)  # now, not on a first read, which locks
     return unit
 
 
