@@ -35,9 +35,9 @@ compiled) and each implication's rewrite per mode, each built the first time
 the search reaches it and reused by every later search of the program.
 Atoms are still classified through classify_atom and a range's bounds
 evaluated, on its first step, through try_eval_term, the names the
-benchmark's spans wrap.  The terms environments hold are built at run time (subst_term) and
-are never compiled: a chain of calls can make them arbitrarily deep, so
-they are evaluated and checked with explicit stacks.
+benchmark's spans wrap.  The terms environments hold are built at run time
+(subst_term) and are never compiled: a chain of calls can make them
+arbitrarily deep, so they are evaluated and checked with explicit stacks.
 
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
@@ -68,7 +68,6 @@ from enum import Enum
 from typing import Iterator
 
 from .formulas import (
-    Atom,
     Call,
     Cons,
     EMPTY,
@@ -336,11 +335,6 @@ class _State(Valuation):
         self.scalars[name] = value
         self.trail.append(name)
 
-    def push_cell(self, cell: Cell, value: Value) -> None:
-        assert cell not in self.cells
-        self.cells[cell] = value
-        self.trail.append(cell)
-
     def bindings_since(self, mark: int) -> Bindings:
         return tuple(
             (k, self.scalars[k] if type(k) is str else self.cells[k])
@@ -455,23 +449,21 @@ class _Search(FreshNames):
         head = f.head
         rest = Goal(f.tail, g.env, g.next) if type(f.tail) is Cons else g.next
         rule = _RULES.get(type(head))
-        if rule is None:
+        if rule is not None:
+            return rule(self, head, g.env, rest)
+        if type(head) not in _ATOMS:
             if isinstance(head, Forall):
                 raise ValueError("unbounded FORALL reached the engine; normalize first")
             raise TypeError(f"unknown head {head!r}")
-        return rule(self, head, g.env, rest)
-
-    def _expand_atom(self, head: Atom, env: Env, rest: Goal | None) -> Expansion:
-        cls = classify_atom(head, self.state, self.code, env)
+        cls = classify_atom(head, self.state, self.code, g.env)  # the commonest step
         if cls is CLOSED_TRUE:
             return "atom", (rest,)
         if cls is CLOSED_FALSE:
             return "atom", FAIL
         if type(cls) is Assignment:
-            if type(cls.target) is str:
-                self.state.push_scalar(cls.target, cls.value)
-            else:
-                self.state.push_cell(cls.target, cls.value)
+            state, key = self.state, cls.target
+            (state.scalars if type(key) is str else state.cells)[key] = cls.value
+            state.trail.append(key)
             return "atom", (rest,)
         cause = EVALUATION_FAULT if cls.fault is not None else ATOM_NOT_EVALUABLE
         return "atom", ERRORS[cause]
@@ -662,11 +654,8 @@ def _rewrite(head: Implies, mode: ImplicationMode) -> Cons:
 
 
 # The expansion rule of each head type.
+_ATOMS = frozenset((Eq, Rel, TrueAtom, FalseAtom))  # expand() expands them itself
 _RULES = {
-    Eq: _Search._expand_atom,
-    Rel: _Search._expand_atom,
-    TrueAtom: _Search._expand_atom,
-    FalseAtom: _Search._expand_atom,
     Call: _Search._expand_call,
     Or: _Search._expand_or,
     Not: _Search._expand_not,

@@ -297,7 +297,10 @@ class _Parser:
         return f
 
     def formula(self) -> Formula:
-        parts = [(self.disjunction(), self.height)]
+        f = self.disjunction()
+        if self.tokens[self.pos].kind != "->":
+            return f
+        parts = [(f, self.height)]
         while self.accept("->"):
             parts.append((self.disjunction(), self.height))
         f, height = parts.pop()
@@ -307,7 +310,10 @@ class _Parser:
         return f
 
     def disjunction(self) -> Formula:
-        parts = [(self.conjunction(), self.height)]
+        f = self.conjunction()
+        if self.tokens[self.pos].kind != "OR":
+            return f
+        parts = [(f, self.height)]
         while self.accept("OR"):
             parts.append((self.conjunction(), self.height))
         f, height = parts.pop()
@@ -317,7 +323,10 @@ class _Parser:
         return f
 
     def conjunction(self) -> Formula:
-        parts = [self.unary()]
+        part = self.unary()
+        if self.tokens[self.pos].kind != "AND":
+            return part if isinstance(part, Formula) else Cons(part, EMPTY)
+        parts = [part]
         height = self.height
         while self.accept("AND"):
             parts.append(self.unary())
