@@ -161,6 +161,8 @@ _TOO_DEEP = "nesting too deep"
 # of these tokens.
 _TERM_GOES_ON = frozenset(("=", *RELATIONS, *FUNCTIONS))
 _MUL_OPS = frozenset(("*", "div", "mod"))
+# A name or a number is a whole term unless one of these follows it.
+_FACTOR_GOES_ON = frozenset(("(", "[", *FUNCTIONS))
 
 
 class _Parser:
@@ -451,6 +453,11 @@ class _Parser:
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
+        t, pos = self.tokens[self.pos], self.pos
+        if ((t.kind == "ident" or t.kind == "number") and self.depth < _MAX_NESTING
+                and self.tokens[pos + 1].kind not in _FACTOR_GOES_ON):
+            self.pos, self.height = pos + 1, 0
+            return Var(t.text) if t.kind == "ident" else IntConst(int(t.text))
         self.nest()
         t = self.addend()
         tokens = self.tokens

@@ -689,7 +689,8 @@ def _side(t: Term, arrays: Decls) -> tuple[TermCode | None, TermCode | None, str
 
 def _eq_var_k(name: str, k: Value, arrays: Decls) -> AtomCode:
     """x = k, or k = x."""
-    def eq_var_k(env, scalars, cells, name=name, k=k, arrays=arrays):
+    def eq_var_k(env, scalars, cells, name=name, k=k, arrays=arrays,
+                 assign=Assignment(name, k)):  # what binding `name` itself gives
         bound = env.get(name)
         if bound is None:
             target = name
@@ -699,7 +700,7 @@ def _eq_var_k(name: str, k: Value, arrays: Decls) -> AtomCode:
             return _classify_eq(bound, _constant_term(k), scalars, cells, arrays)
         v = scalars.get(target, _OPEN)
         if v is _OPEN:
-            return Assignment(target, k)
+            return assign if target is name else Assignment(target, k)
         return CLOSED_TRUE if v == k else CLOSED_FALSE
 
     return eq_var_k
