@@ -1,10 +1,18 @@
-"""A deliberately naive reference interpreter for the verbatim strict
-semantics: recursive, materializes every leaf list eagerly, immutable
+"""A deliberately naive reference interpreter for strict implication and
+strict or liberal negation: recursive, materializes every leaf list eagerly, immutable
 environments, no trail, no laziness.  Structurally independent from the
 engine so the two can be compared leaf for leaf: it substitutes instead of
 running bodies under environments, and it has its own term evaluation, atom
 classification and closedness check, written from the paper's definitions
-rather than taken from fap.values."""
+rather than taken from fap.values.
+
+Strict negation and pedantic implication need a closed operand.  Liberal
+negation runs any operand: a failed one lets the negation hold, and a
+success refutes it when the operand is closed or its witness is clean.
+Non-pedantic strict implication runs any antecedent: a failed one lets the
+implication hold, and a success with a clean witness runs the consequent.
+A witness is clean when it binds no new cell and no variable free in the
+(substituted) operand; any other success is an error."""
 
 from __future__ import annotations
 
@@ -72,7 +80,12 @@ _RELATIONS = {
 }
 
 
-def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
+def reference_leaves(
+    program: ProgramUnit, initial: Valuation, liberal: bool = False, pedantic: bool = True
+) -> list:
+    """The leaves of the query's tree: under strict or (`liberal`) liberal
+    negation, and pedantic or (not `pedantic`) witness-checking strict
+    implication."""
     ranges = {d.name: d.ranges for d in program.arrays}
 
     def value(t: Term, a: Valuation):
@@ -178,6 +191,47 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
                     return False
         return True
 
+    def term_names(t: Term) -> set:
+        if isinstance(t, Var):
+            return {t.name}
+        if isinstance(t, (App, ArrayRef)):
+            return set().union(*map(term_names, t.args if isinstance(t, App) else t.indices))
+        return set()
+
+    def free_names(f: Formula, bound: frozenset = frozenset()) -> set:
+        names = set()
+        for h in f:
+            terms, subs, var = (), (), None
+            if isinstance(h, (Eq, Rel)):
+                terms = (h.lhs, h.rhs)
+            elif isinstance(h, Call):
+                terms = h.args
+            elif isinstance(h, Or):
+                subs = (h.left, h.right)
+            elif isinstance(h, Implies):
+                subs = (h.antecedent, h.consequent)
+            elif isinstance(h, Not):
+                subs = (h.body,)
+            elif isinstance(h, Exists):
+                subs, var = (h.body,), h.var
+            elif isinstance(h, (ExistsBounded, ForallBounded)):
+                terms, subs, var = (h.lo, h.hi), (h.body,), h.var
+            for t in terms:
+                names |= term_names(t) - bound
+            for sub in subs:
+                names |= free_names(sub, bound if var is None else bound | {var})
+        return names
+
+    def clean(operand: Formula, a: Valuation, witness: Valuation) -> bool:
+        """The witness binds no new cell and no free variable of operand."""
+        if any(cell not in a.cells for cell in witness.cells):
+            return False
+        free = free_names(operand)
+        return not any(n in free for n in witness.scalars if n not in a.scalars)
+
+    def first_success(leaves: list):
+        return next((l.valuation for l in leaves if isinstance(l, RSuccess)), None)
+
     def closed_term(t: Term, a: Valuation, bound: frozenset) -> bool:
         if isinstance(t, Var):
             return t.name in a.scalars or t.name in bound
@@ -185,17 +239,7 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
             return all(closed_term(x, a, bound) for x in t.args)
         if isinstance(t, ArrayRef):
             # quantified index variables cannot be resolved statically
-            names = set()
-
-            def collect(u):
-                if isinstance(u, Var):
-                    names.add(u.name)
-                for sub in getattr(u, "args", ()) or getattr(u, "indices", ()) or ():
-                    collect(sub)
-
-            for i in t.indices:
-                collect(i)
-            if not names <= set(a.scalars):
+            if not term_names(t) <= set(a.scalars):
                 return False
             try:
                 return value(t, a) is not None
@@ -229,20 +273,25 @@ def reference_leaves(program: ProgramUnit, initial: Valuation) -> list:
         if isinstance(h, Or):
             return tree(concat(h.left, tail), a) + tree(concat(h.right, tail), a)
         if isinstance(h, Not):
-            if not closed_formula(h.body, a, frozenset()):
+            closed = closed_formula(h.body, a, frozenset())
+            if not (closed or liberal):
                 return [RError()]
             sub = tree(h.body, a)
-            if any(isinstance(l, RSuccess) for l in sub):
-                return [RFail()]
+            witness = first_success(sub)
+            if witness is not None:
+                return [RFail()] if closed or clean(h.body, a, witness) else [RError()]
             if all(isinstance(l, RFail) for l in sub):
                 return tree(tail, a)
             return [RError()]
         if isinstance(h, Implies):
-            if not closed_formula(h.antecedent, a, frozenset()):
+            if pedantic and not closed_formula(h.antecedent, a, frozenset()):
                 return [RError()]
             sub = tree(h.antecedent, a)
-            if any(isinstance(l, RSuccess) for l in sub):
-                return tree(concat(h.consequent, tail), a)
+            witness = first_success(sub)
+            if witness is not None:
+                if pedantic or clean(h.antecedent, a, witness):
+                    return tree(concat(h.consequent, tail), a)
+                return [RError()]
             if all(isinstance(l, RFail) for l in sub):
                 return tree(tail, a)
             return [RError()]

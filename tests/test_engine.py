@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+from collections import Counter
 import pickle
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from fap.engine import (
     UNBOUNDED_RANGE,
     eval_subtree_status,
     iter_leaves,
+    iter_trace,
     solve,
     trace,
 )
@@ -452,6 +455,46 @@ def test_trace_leaves_match_solve_leaves():
             assert list(trace(pu, initial, config).leaves()) == list(result.leaves), name
             status, _ = eval_subtree_status(pu, pu.query, initial, config)
             assert status is result.status, name
+
+
+def test_traced_tags_of_the_sized_squares_are_pinned():
+    # the rule tags of every node, in the order they were recorded before
+    # the step loop ran atoms and ranges itself
+    sizes = Valuation(cells={("Sizes", (1,)): 4, ("Sizes", (2,)): 1, ("Sizes", (3,)): 1})
+    squares = load(squares_program(5, 4, 3))
+    pinned = {
+        ImplicationMode.STRICT: {"bounded-forall": 91, "implication": 25, "bounded-exists": 40,
+                                 "disjunction": 30, "atom": 129, "fail": 31},
+        # the rewrite puts the guard's NOT in the main tree
+        ImplicationMode.NEG_OR: {"bounded-forall": 171, "implication-rewrite": 29,
+                                 "disjunction": 116, "liberal-negation": 14, "fail": 117,
+                                 "bounded-exists": 116, "atom": 329, "negation": 15},
+    }
+    for impl, counts in pinned.items():
+        config = EngineConfig(negation=NegationMode.LIBERAL, implication=impl)
+        assert Counter(node.tag for _, node in iter_trace(squares, sizes, config)) == counts
+
+
+def test_budget_cuts_at_every_step_of_the_sized_squares():
+    # corpus/squares_5x4.fap as `fap run` runs it (first solution, liberal
+    # negation), cut after every step count up to the whole run's, so cuts
+    # fall inside every negation and antecedent sub-tree it searches
+    program = load((CORPUS / "squares_5x4.fap").read_text(encoding="utf-8"))
+    sizes = Valuation(cells={("Sizes", (k,)): s for k, s in enumerate((4, 1, 1, 1, 1), 1)})
+    digest = hashlib.sha256()
+    for impl in ImplicationMode:
+        def config(budget=None):
+            return EngineConfig(negation=NegationMode.LIBERAL, implication=impl,
+                                max_steps=budget, solution_limit=1)
+
+        for budget in range(1, solve(program, sizes, config()).steps + 1):
+            r = solve(program, sizes, config(budget))
+            leaves = [("success", l.valuation.canonical()) if isinstance(l, Success)
+                      else ("error", l.cause) if isinstance(l, Error) else ("fail",)
+                      for l in r.leaves]
+            digest.update(repr((r.status.value, r.steps, leaves)).encode())
+    assert digest.hexdigest() == (
+        "b34bc1cb77dd3d9a50e55ddf660dd8235bd4ed769a7eded6afdf2f9d88a615dc")
 
 
 def test_trace_shape_for_formula1():

@@ -9,6 +9,7 @@ from fap.engine import (
     NegationMode,
     Success,
     TreeStatus,
+    iter_trace,
     solve,
 )
 from fap.normalize import load_query
@@ -120,6 +121,30 @@ def test_internal_existential_witness_is_clean():
     # the operand succeeds but only pins its own bound variable
     r = run("NOT (SOME k := 1 TO 3 DO k = 2 END)", LIBERAL)
     assert leaf_kinds(r.leaves) == ["Fail"]
+
+
+def traced(src: str, config: EngineConfig = LIBERAL) -> list:
+    """(tag, leaf) of each node of the traced tree of src."""
+    return [(node.tag, node.leaf) for _, node in iter_trace(load_query(src), config=config)]
+
+
+def test_liberal_negation_tags_say_whether_the_operand_is_closed():
+    # a trace tags each negation by closedness, though a liberal negation
+    # needs it only for a success whose witness is dirty
+    holds = [("atom", None), ("empty", None), ("success", Success(Valuation({"x": 5})))]
+    assert traced("NOT (0 = 1) AND x = 5") == [("negation", None)] + holds
+    assert traced("NOT (0 = 1 AND x = y) AND x = 5") == [("liberal-negation", None)] + holds
+    # the witness pins x, free in the operand
+    [(tag, _), (_, leaf)] = traced("NOT (x = 0)")
+    assert tag == "liberal-negation" and leaf.cause == NEGAND_UNDETERMINED
+    # the witness pins only the operand's own v
+    assert [tag for tag, _ in traced("NOT ((EXISTS v . v = 1) OR x = y)")] == [
+        "liberal-negation", "fail"]
+    # the same leaves untraced
+    for src in ("NOT (0 = 1 AND x = y) AND x = 5", "NOT (x = 0)",
+                "NOT ((EXISTS v . v = 1) OR x = y)"):
+        assert [leaf for _, leaf in traced(src) if leaf is not None] == list(
+            run(src, LIBERAL).leaves)
 
 
 def test_de_morgan_does_not_hold_operationally():

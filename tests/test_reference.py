@@ -1,13 +1,17 @@
-"""Leaf-for-leaf comparison of the engine (verbatim strict mode) against the
-naive recursive reference interpreter over the generated corpus."""
+"""Leaf-for-leaf comparison of the engine against the naive recursive
+reference interpreter over the generated corpus: verbatim strict mode, and
+strict implication with its witness check under strict and liberal
+negation."""
 
 from naive_reference import RError, RFail, RSuccess, reference_leaves
-from fap.engine import EngineConfig, Error, Fail, Success, TreeStatus, solve
+from fap.engine import EngineConfig, Error, Fail, NegationMode, Success, TreeStatus, solve
 from fap.normalize import load, load_query, normalize_program
 from fap.oracle import FiniteDomain, GeneratorConfig, generate
 from fap.values import EMPTY_VALUATION, Valuation
 
 PEDANTIC = EngineConfig(pedantic=True)
+# the configurations with a witness check: (engine config, liberal negation)
+WITNESSED = ((EngineConfig(), False), (EngineConfig(negation=NegationMode.LIBERAL), True))
 
 
 def observable(program, leaves):
@@ -31,6 +35,13 @@ def compare(program, initial=EMPTY_VALUATION):
     assert got == want
 
 
+def compare_witnessed(program, initial=EMPTY_VALUATION):
+    for config, liberal in WITNESSED:
+        got = observable(program, solve(program, initial, config).leaves)
+        want = observable(program, reference_leaves(program, initial, liberal, pedantic=False))
+        assert got == want, config
+
+
 def test_engine_matches_reference_on_generated_corpus():
     for seed in range(2500):
         compare(normalize_program(generate(GeneratorConfig(seed=seed, max_depth=5))))
@@ -40,6 +51,18 @@ def test_engine_matches_reference_on_arrays_and_quantifiers():
     domain = FiniteDomain(0, 2, quantifiers=True)
     for seed in range(1500):
         compare(normalize_program(generate(GeneratorConfig(
+            seed=seed, max_depth=5, domain=domain, arrays_and_quantifiers=True))))
+
+
+def test_witness_checks_match_reference_on_generated_corpus():
+    for seed in range(2500):
+        compare_witnessed(normalize_program(generate(GeneratorConfig(seed=seed, max_depth=5))))
+
+
+def test_witness_checks_match_reference_on_arrays_and_quantifiers():
+    domain = FiniteDomain(0, 2, quantifiers=True)
+    for seed in range(1500):
+        compare_witnessed(normalize_program(generate(GeneratorConfig(
             seed=seed, max_depth=5, domain=domain, arrays_and_quantifiers=True))))
 
 
@@ -64,6 +87,7 @@ def test_engine_matches_reference_on_hand_cases():
     ]
     for src in sources:
         compare(load_query(src))
+        compare_witnessed(load_query(src))
 
 
 def test_engine_matches_reference_with_arrays_and_procedures():
@@ -84,6 +108,7 @@ def test_engine_matches_reference_with_arrays_and_procedures():
     ]
     for src in programs:
         compare(load(src))
+        compare_witnessed(load(src))
 
 
 def test_engine_matches_reference_with_initial_bindings():
@@ -92,6 +117,7 @@ def test_engine_matches_reference_with_initial_bindings():
     )
     for binding in ({}, {"x": 2}, {"x": 3}, {"x": 3, "y": 2}, {"y": 7}):
         compare(program, Valuation(binding))
+        compare_witnessed(program, Valuation(binding))
 
 
 # A declared array with three indices: its cells, its faults, a strict NOT
@@ -122,6 +148,7 @@ def test_engine_matches_reference_on_three_index_arrays():
     ]
     for src in programs:
         compare(load(THREE + src))
+        compare_witnessed(load(THREE + src))
 
 
 def test_three_index_arrays_take_the_general_paths():
