@@ -38,6 +38,8 @@ evaluated, on its first step, through try_eval_term, the names the
 benchmark's spans wrap.  The terms environments hold are built at run time
 (subst_term) and are never compiled: a chain of calls can make them
 arbitrarily deep, so they are evaluated and checked with explicit stacks.
+A liberal negation checks closedness only where the answer is read: for a
+success whose witness is dirty, and for the tag of a traced node.
 
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
@@ -46,11 +48,15 @@ an immutable Valuation snapshot, so solve/trace stay pure functions of
 step a call checks and copies only what the initial valuation holds, and a
 success leaf copies the store once.
 
-One depth-first loop, _Search.walk, explores every tree: solve and
-iter_leaves read its leaves, the negation and implication rules read the
-leaves of their sub-trees through subtree_status (which stops at the first
-success and reports the bindings it made, read off the trail), and
-iter_trace reads every node.  A trace is a lazy preorder stream of nodes
+One depth-first loop, _Search.walk, runs every step of every tree.  An atom
+or a step through a range allocates only the binding and the cursor it
+keeps: the loop holds the goal as a conjunction cell, an environment and a
+continuation, and builds a goal only for a node of a trace.  The other rules
+build one only for a continuation a body or a branch captures.  solve and
+iter_leaves read the outcome of each leaf, the negation and implication
+rules read the leaves of their sub-trees through subtree_status (which stops
+at the first success and reports the bindings it made, read off the trail),
+and iter_trace reads every node.  A trace is a lazy preorder stream of nodes
 that runs the search only as far as it is read; each node keeps its goal and
 builds its formula (the body with the environment substituted, a cursor as
 the bounded head it stands for) only when it is asked for.  Nodes that start
@@ -96,7 +102,7 @@ from .formulas import (
     subst_term,
     subterms,
 )
-from .normalize import FreshNames
+from .normalize import FreshNames, fresh_prefix
 from .values import (
     Assignment,
     CLOSED_FALSE,
@@ -213,16 +219,17 @@ class Goal:
 class Range(Goal):
     """The rest of a bounded range, a cursor: the program's own bounded head
     (`formula`) from index `lo` to the evaluated upper bound `hi`, under
-    `env`, then `next`.  It prints as that head with lo and hi for bounds.
-    What a step through a SOME range leaves is a `choice`: the body under
-    `env`, which binds the index just taken, or else the rest of the range."""
+    `env`, then `next`; `prefix` starts the fresh name of each index.  It
+    prints as that head with lo and hi for bounds.  What a step through a
+    SOME range leaves is a `choice`: the body under `env`, which binds the
+    index just taken, or else the rest of the range."""
 
-    __slots__ = ("lo", "hi", "choice")
+    __slots__ = ("lo", "hi", "prefix", "choice")
 
-    def __init__(self, head: ExistsBounded | ForallBounded, lo: int, hi: int, env: Env,
-                 next: Goal | None, choice: bool = False):
+    def __init__(self, head: ExistsBounded | ForallBounded, lo: int, hi: int, prefix: str,
+                 env: Env, next: Goal | None, choice: bool = False):
         self.formula, self.env, self.next = head, env, next
-        self.lo, self.hi, self.choice = lo, hi, choice
+        self.lo, self.hi, self.prefix, self.choice = lo, hi, prefix, choice
 
     def head(self) -> Head:
         """The conjunct this cursor stands for, built to be printed."""
@@ -330,11 +337,6 @@ class _State(Valuation):
             else:
                 del self.cells[key]
 
-    def push_scalar(self, name: str, value: Value) -> None:
-        assert name not in self.scalars
-        self.scalars[name] = value
-        self.trail.append(name)
-
     def bindings_since(self, mark: int) -> Bindings:
         return tuple(
             (k, self.scalars[k] if type(k) is str else self.cells[k])
@@ -357,21 +359,22 @@ class Snapshot(Valuation):
         self.parent, self.bindings = parent, bindings
 
 
-# What expand() reports for the empty goal: a success leaf, whose valuation
-# the caller takes from the store (solve, trace) or the trail (subtree_status).
+# What walk() yields for a success leaf, whose valuation the reader takes
+# from the store (solve, trace) or the trail (subtree_status), and for the
+# goal a step budget cut: the error leaf that ends the tree.
 _SUCCEEDED = object()
-
-# What walk() yields for the goal a step budget cut: the error leaf that
-# ends the tree.
 _CUT = ERRORS[STEP_BUDGET]
 
-# expand() returns (rule tag, outcome): a tuple of child goals, FAIL, an
-# Error, or _SUCCEEDED.  Bindings the rule made are already on the trail, and
+# A rule returns (tag, outcome): child goals, FAIL, an Error, or a range's
+# cursor for the loop to step.  Its bindings are on the trail already, and
 # every child starts from the state after them.
-Expansion = tuple[str, "tuple[Goal | None, ...] | Leaf | object"]
+Expansion = tuple[str, "tuple[Goal | None, ...] | Leaf | Range"]
 
 
 class _Search(FreshNames):
+    # set by iter_trace: a liberal negation then checks closedness for its tag
+    tracing = False
+
     def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation,
                  check: bool = True):
         """A search of `program` from `initial`, after checking both."""
@@ -386,39 +389,90 @@ class _Search(FreshNames):
         self.limit = sys.maxsize if config.max_steps is None else config.max_steps
         self.state = _State(initial)
 
-    # -- the depth-first driver ---------------------------------------------
+    # -- the depth-first loop ------------------------------------------------
 
-    def walk(
-        self, g: Goal | None, every_node: bool = False
-    ) -> Iterator[tuple[int, Goal | None, str, object, int]]:
-        """The one depth-first loop: expand the tree of g under the current
-        state, left to right, and yield (depth, goal, tag, outcome, mark) for
-        each leaf, or for each node when every_node is set (a trace; solve
-        and sub-trees would pay for a yield per step), while the store is
-        still as the expansion left it; mark is the trail length before it.
-        A budget cut yields _CUT at the depth of the goal it cut and ends
-        the walk."""
-        state = self.state
-        trail = state.trail
-        stack = [(g, len(trail), 0)]
-        while stack:
-            g, mark, depth = stack.pop()
-            if len(trail) != mark:
-                state.undo_to(mark)
-            try:
-                tag, outcome = self.expand(g)
-            except _BudgetExceeded:
-                yield depth, g, "error", _CUT, mark
-                return
-            if type(outcome) is tuple:
-                after = len(trail)
-                if len(outcome) == 1:  # most rules have one child
-                    stack.append((outcome[0], after, depth + 1))
+    def walk(self, g: Goal | None, every_node: bool = False) -> Iterator:
+        """Run the tree of g under the current state, depth first and left to
+        right.  Yield each leaf's outcome (_SUCCEEDED, FAIL, an Error), or
+        with every_node (a trace) (depth, goal, tag, outcome, mark) for each
+        node, an inner one's outcome a tuple; mark is the trail length before
+        the step, and the store is as the step left it.  A step's first
+        child runs next, the others wait on the stack.  A budget cut yields
+        _CUT at the depth of the goal it cut and ends the walk."""
+        state, code, limit = self.state, self.code, self.limit
+        trail, stack = state.trail, []
+        f, mark, depth = g, len(trail), 0
+        while True:
+            if every_node:
+                node = Goal(f, env, nxt) if type(f) is Cons else f
+            if type(f) is Goal:  # a cursor or the empty goal runs as it is
+                f, env, nxt = f.formula, f.env, f.next
+            self.steps += 1
+            if self.steps > limit:
+                break
+            if type(f) is Cons and type(f.head) in _ATOMS:  # the commonest step
+                tag, cls = "atom", classify_atom(f.head, state, code, env)
+                if cls is CLOSED_TRUE or type(cls) is Assignment:
+                    if cls is not CLOSED_TRUE:
+                        key = cls.target
+                        (state.scalars if type(key) is str else state.cells)[key] = cls.value
+                        trail.append(key)
+                    outcome, f = (), f.tail
                 else:
-                    stack += [(c, after, depth + 1) for c in reversed(outcome)]
-                if not every_node:
-                    continue
-            yield depth, g, tag, outcome, mark
+                    outcome = FAIL if cls is CLOSED_FALSE else ERRORS[
+                        EVALUATION_FAULT if cls.fault is not None else ATOM_NOT_EVALUABLE]
+            elif type(f) is Cons:
+                head, tail = f.head, f.tail
+                rule = _RULES.get(type(head))
+                if rule is None:
+                    raise (ValueError("unbounded FORALL reached the engine; normalize first")
+                           if isinstance(head, Forall) else TypeError(f"unknown head {head!r}"))
+                try:
+                    tag, outcome = rule(self, head, env,
+                                        Goal(tail, env, nxt) if type(tail) is Cons else nxt)
+                except _BudgetExceeded:  # inside a sub-tree
+                    break
+                if type(outcome) is Range:  # a range with its bounds: step it below
+                    f = outcome
+            elif f is None:
+                tag, outcome = "empty", _SUCCEEDED
+            if type(f) is Range:
+                r, outcome = f, ()
+                head, env, nxt, lo, hi = r.formula, r.env, r.next, r.lo, r.hi
+                if r.choice:  # the body, which binds the index just taken, or the rest
+                    tag, f = "disjunction", head.body
+                    stack.append((Range(head, lo, hi, r.prefix, env, nxt), len(trail), depth + 1))
+                else:
+                    exists = type(head) is ExistsBounded
+                    tag = "bounded-exists" if exists else "bounded-forall"
+                    if lo > hi:  # an empty range: SOME fails, FOR holds
+                        outcome, f = (FAIL, f) if exists else ((), EMPTY)
+                    else:
+                        name, self.next_id = f"{r.prefix}{self.next_id}", self.next_id + 1
+                        state.scalars[name] = lo
+                        trail.append(name)
+                        inner = {**env, head.var: Var(name)}
+                        # SOME leaves a choice, whose rest rebinds head.var, so runs under inner
+                        f, env, nxt = (EMPTY if exists else head.body), inner, Range(
+                            head, lo + 1, hi, r.prefix, inner if exists else env, nxt, exists)
+            if type(outcome) is not tuple:  # a leaf: the next goal waits on the stack
+                yield (depth, node, tag, outcome, mark) if every_node else outcome
+                if not stack:
+                    return
+                f, mark, depth = stack.pop()
+                if len(trail) != mark:
+                    state.undo_to(mark)
+                continue
+            if every_node:
+                yield depth, node, tag, outcome, mark
+                depth, mark = depth + 1, len(trail)
+            if outcome:  # a rule's children
+                after = len(trail)
+                stack += [(c, after, depth) for c in outcome[:0:-1]]
+                f = outcome[0]
+            elif type(f) is not Cons:  # the conjunction is done: its continuation runs
+                f = nxt
+        yield (depth, None, "error", _CUT, mark) if every_node else _CUT
 
     def _leaf(self, outcome) -> Leaf:
         if outcome is not _SUCCEEDED:
@@ -432,41 +486,7 @@ class _Search(FreshNames):
         kept.cells = dict(state.cells) if state.cells else EMPTY_VALUATION.cells
         return Success(kept)
 
-    # -- single-node expansion ----------------------------------------------
-
-    def expand(self, g: Goal | None) -> Expansion:
-        self.steps += 1
-        if self.steps > self.limit:
-            raise _BudgetExceeded()
-        if g is None:
-            return "empty", _SUCCEEDED
-        f = g.formula
-        if type(g) is Range:  # f is the program's bounded head
-            if not g.choice:
-                return self._expand_bounded(f, g.env, g.next, g.lo, g.hi)
-            others = Range(f, g.lo, g.hi, g.env, g.next)
-            return "disjunction", (goal(f.body, g.env, g.next), others)
-        head = f.head
-        rest = Goal(f.tail, g.env, g.next) if type(f.tail) is Cons else g.next
-        rule = _RULES.get(type(head))
-        if rule is not None:
-            return rule(self, head, g.env, rest)
-        if type(head) not in _ATOMS:
-            if isinstance(head, Forall):
-                raise ValueError("unbounded FORALL reached the engine; normalize first")
-            raise TypeError(f"unknown head {head!r}")
-        cls = classify_atom(head, self.state, self.code, g.env)  # the commonest step
-        if cls is CLOSED_TRUE:
-            return "atom", (rest,)
-        if cls is CLOSED_FALSE:
-            return "atom", FAIL
-        if type(cls) is Assignment:
-            state, key = self.state, cls.target
-            (state.scalars if type(key) is str else state.cells)[key] = cls.value
-            state.trail.append(key)
-            return "atom", (rest,)
-        cause = EVALUATION_FAULT if cls.fault is not None else ATOM_NOT_EVALUABLE
-        return "atom", ERRORS[cause]
+    # -- the rules the loop calls -------------------------------------------
 
     def _expand_or(self, head: Or, env: Env, rest: Goal | None) -> Expansion:
         return "disjunction", (goal(head.left, env, rest), goal(head.right, env, rest))
@@ -483,26 +503,29 @@ class _Search(FreshNames):
         return "procedure-unfold", (goal(proc.body, callee, rest),)
 
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
-        closed = self.formula_closed(head.body, env)
-        if self.cfg.negation is NegationMode.STRICT and not closed:
+        """A liberal negation continues on a failed operand and fails on a
+        clean witness whatever closedness says, so it checks closedness only
+        for a dirty witness, and in a trace for its tag."""
+        strict = self.cfg.negation is NegationMode.STRICT
+        closed = self.formula_closed(head.body, env) if strict or self.tracing else None
+        if strict and not closed:
             return "negation", ERRORS[NEGAND_UNDETERMINED]
         tag = "negation" if closed else "liberal-negation"
         status, bindings = self.subtree_status(goal(head.body, env, None))
         if status is TreeStatus.FAILED:
             return tag, (rest,)
-        if status is TreeStatus.SUCCESSFUL:
-            if closed or self._witness_clean(head.body, env, bindings):
-                return tag, FAIL
+        if status is TreeStatus.SUCCESSFUL and (
+                closed or self._witness_clean(head.body, env, bindings)
+                or closed is None and self.formula_closed(head.body, env)):
+            return tag, FAIL
         return tag, ERRORS[NEGAND_UNDETERMINED]
 
     def _expand_implies(self, head: Implies, env: Env, rest: Goal | None) -> Expansion:
         mode = self.cfg.implication
-        if mode is ImplicationMode.STRICT:
-            return self._implies_strict(head, env, rest)
-        rewritten = self.code.part(("rewrite", id(head), mode), head, lambda: _rewrite(head, mode))
-        return "implication-rewrite", (Goal(rewritten, env, rest),)
-
-    def _implies_strict(self, head: Implies, env: Env, rest: Goal | None) -> Expansion:
+        if mode is not ImplicationMode.STRICT:
+            rewritten = self.code.part(("rewrite", id(head), mode), head,
+                                       lambda: _rewrite(head, mode))
+            return "implication-rewrite", (Goal(rewritten, env, rest),)
         if self.cfg.pedantic and not self.formula_closed(head.antecedent, env):
             return "implication", ERRORS[ANTECEDENT_UNDETERMINED]
         status, bindings = self.subtree_status(goal(head.antecedent, env, None))
@@ -513,32 +536,19 @@ class _Search(FreshNames):
                 return "implication", (goal(head.consequent, env, rest),)
         return "implication", ERRORS[ANTECEDENT_UNDETERMINED]
 
-    def _expand_bounded(
-        self, head: ExistsBounded | ForallBounded, env: Env, rest: Goal | None,
-        lo: int | None = None, hi: int | None = None,
-    ) -> Expansion:
-        """A step through a range: bind a fresh instance of head.var to lo,
-        and leave the rest of the range as a cursor from lo + 1.  The first
-        step evaluates the bounds; a cursor's steps pass them in."""
-        exists = type(head) is ExistsBounded
-        tag = "bounded-exists" if exists else "bounded-forall"
-        if lo is None:
-            try:
-                lo = try_eval_term(head.lo, self.state, self.code, env)
-                hi = try_eval_term(head.hi, self.state, self.code, env)
-            except EvalFault:
-                return tag, ERRORS[EVALUATION_FAULT]
-            if lo is None or hi is None:
-                return tag, ERRORS[UNBOUNDED_RANGE]
-        if lo > hi:  # an empty range: SOME fails, FOR holds
-            return tag, (FAIL if exists else (rest,))
-        name = self.fresh(head.var)
-        self.state.push_scalar(name, lo)
-        inner = {**env, head.var: Var(name)}
-        if exists:
-            # the rest of the range rebinds head.var, so it may run under `inner`
-            return tag, (Range(head, lo + 1, hi, inner, rest, choice=True),)
-        return tag, (goal(head.body, inner, Range(head, lo + 1, hi, env, rest)),)
+    def _expand_bounded(self, head: ExistsBounded | ForallBounded, env: Env,
+                        rest: Goal | None) -> Expansion:
+        """A range's first step: evaluate its bounds.  The loop then steps
+        the range as a cursor, as it does every later step through it."""
+        tag = "bounded-exists" if type(head) is ExistsBounded else "bounded-forall"
+        try:
+            lo = try_eval_term(head.lo, self.state, self.code, env)
+            hi = try_eval_term(head.hi, self.state, self.code, env)
+        except EvalFault:
+            return tag, ERRORS[EVALUATION_FAULT]
+        if lo is None or hi is None:
+            return tag, ERRORS[UNBOUNDED_RANGE]
+        return tag, Range(head, lo, hi, fresh_prefix(head.var), env, rest)
 
     # -- sub-tree status (negands, antecedents) -----------------------------
 
@@ -551,7 +561,7 @@ class _Search(FreshNames):
         base = len(state.trail)
         saw_error = False
         try:
-            for _, _, _, outcome, _ in self.walk(g):
+            for outcome in self.walk(g):
                 if outcome is _SUCCEEDED:
                     return TreeStatus.SUCCESSFUL, state.bindings_since(base)
                 if outcome is _CUT:
@@ -654,7 +664,7 @@ def _rewrite(head: Implies, mode: ImplicationMode) -> Cons:
 
 
 # The expansion rule of each head type.
-_ATOMS = frozenset((Eq, Rel, TrueAtom, FalseAtom))  # expand() expands them itself
+_ATOMS = frozenset((Eq, Rel, TrueAtom, FalseAtom))  # walk() steps them itself
 _RULES = {
     Call: _Search._expand_call,
     Or: _Search._expand_or,
@@ -697,7 +707,7 @@ def iter_leaves(
 ) -> Iterator[Leaf]:
     """Lazy left-to-right leaf sequence of the query's computation tree."""
     search = _Search(program, config, initial)
-    for _, _, _, outcome, _ in search.walk(goal(program.query, EMPTY_ENV, None)):
+    for outcome in search.walk(goal(program.query, EMPTY_ENV, None)):
         yield search._leaf(outcome)
 
 
@@ -712,7 +722,7 @@ def solve(
     search = _Search(program, config, initial)
     leaves: list[Leaf] = []
     successes = errors = 0
-    for _, _, _, outcome, _ in search.walk(goal(program.query, EMPTY_ENV, None)):
+    for outcome in search.walk(goal(program.query, EMPTY_ENV, None)):
         if outcome is not _SUCCEEDED:
             leaves.append(outcome)
             errors += type(outcome) is Error
@@ -761,6 +771,7 @@ def iter_trace(
     cut, ends the stream.  Nodes expanded under the same store share one
     snapshot of it, a Snapshot of the store it extends but at the root."""
     search = _Search(program, config, initial)
+    search.tracing = True
     state = search.state
     successes = 0
     # stores[d] is the store the nodes at depth d start from: their parent's,

@@ -42,11 +42,14 @@ class FreshNames:
         self.next_id = start
 
     def fresh(self, base: str) -> str:
-        if FRESH_MARK in base:
-            base = base.split(FRESH_MARK, 1)[0]
-        name = f"{base}{FRESH_MARK}{self.next_id}"
+        name = f"{fresh_prefix(base)}{self.next_id}"
         self.next_id += 1
         return name
+
+
+def fresh_prefix(base: str) -> str:
+    """How each fresh name for binder `base` starts: base up to any mark, the mark."""
+    return base.split(FRESH_MARK, 1)[0] + FRESH_MARK
 
 
 def normalize(f: Formula, fresh: FreshNames | None = None) -> Formula:
