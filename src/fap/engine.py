@@ -238,12 +238,6 @@ class Range(Goal):
         return Or(h.body, Cons(rest, EMPTY)) if self.choice else rest
 
 
-def goal(f: Formula, env: Env, next: Goal | None) -> Goal | None:
-    """f under env, then next.  An empty f adds nothing, so no step is
-    spent on it."""
-    return Goal(f, env, next) if type(f) is Cons else next
-
-
 @record(frozen=False)
 class TraceNode:
     """One node of the materialized computation tree.  Internal nodes carry
@@ -365,10 +359,11 @@ class Snapshot(Valuation):
 _SUCCEEDED = object()
 _CUT = ERRORS[STEP_BUDGET]
 
-# A rule returns (tag, outcome): child goals, FAIL, an Error, or a range's
-# cursor for the loop to step.  Its bindings are on the trail already, and
-# every child starts from the state after them.
-Expansion = tuple[str, "tuple[Goal | None, ...] | Leaf | Range"]
+# A rule returns (tag, outcome): its children, each a formula, its
+# environment and the goal after it, or FAIL, an Error, or a range's cursor
+# for the loop to step.  Its bindings are on the trail already, and every
+# child starts from the state after them.
+Expansion = tuple[str, "tuple[tuple[Formula, Env, Goal | None], ...] | Leaf | Range"]
 
 
 class _Search(FreshNames):
@@ -391,22 +386,25 @@ class _Search(FreshNames):
 
     # -- the depth-first loop ------------------------------------------------
 
-    def walk(self, g: Goal | None, every_node: bool = False) -> Iterator:
-        """Run the tree of g under the current state, depth first and left to
-        right.  Yield each leaf's outcome (_SUCCEEDED, FAIL, an Error), or
-        with every_node (a trace) (depth, goal, tag, outcome, mark) for each
-        node, an inner one's outcome a tuple; mark is the trail length before
-        the step, and the store is as the step left it.  A step's first
-        child runs next, the others wait on the stack.  A budget cut yields
-        _CUT at the depth of the goal it cut and ends the walk."""
+    def walk(self, f: Formula, env: Env, every_node: bool = False) -> Iterator:
+        """Run the tree of f under env and the current state, depth first and
+        left to right.  Yield each leaf's outcome (_SUCCEEDED, FAIL, an
+        Error), or with every_node (a trace) (depth, goal, tag, outcome, mark)
+        for each node, an inner one's outcome a tuple; mark is the trail
+        length before the step, and the store is as the step left it.  A
+        step's first child runs next, the others wait on the stack.  A budget
+        cut yields _CUT at the depth of the goal it cut and ends the walk."""
         state, code, limit = self.state, self.code, self.limit
         trail, stack = state.trail, []
-        f, mark, depth = g, len(trail), 0
+        nxt, mark, depth = None, len(trail), 0
         while True:
-            if every_node:
-                node = Goal(f, env, nxt) if type(f) is Cons else f
-            if type(f) is Goal:  # a cursor or the empty goal runs as it is
-                f, env, nxt = f.formula, f.env, f.next
+            if type(f) is Cons:
+                if every_node:
+                    node = Goal(f, env, nxt)
+            else:  # the conjunction is done: its continuation runs
+                node = f = nxt
+                if type(f) is Goal:  # a cursor or the empty goal runs as it is
+                    f, env, nxt = f.formula, f.env, f.next
             self.steps += 1
             if self.steps > limit:
                 break
@@ -441,7 +439,8 @@ class _Search(FreshNames):
                 head, env, nxt, lo, hi = r.formula, r.env, r.next, r.lo, r.hi
                 if r.choice:  # the body, which binds the index just taken, or the rest
                     tag, f = "disjunction", head.body
-                    stack.append((Range(head, lo, hi, r.prefix, env, nxt), len(trail), depth + 1))
+                    others = Range(head, lo, hi, r.prefix, env, nxt)
+                    stack.append((EMPTY, env, others, len(trail), depth + 1))
                 else:
                     exists = type(head) is ExistsBounded
                     tag = "bounded-exists" if exists else "bounded-forall"
@@ -459,7 +458,7 @@ class _Search(FreshNames):
                 yield (depth, node, tag, outcome, mark) if every_node else outcome
                 if not stack:
                     return
-                f, mark, depth = stack.pop()
+                f, env, nxt, mark, depth = stack.pop()
                 if len(trail) != mark:
                     state.undo_to(mark)
                 continue
@@ -468,10 +467,8 @@ class _Search(FreshNames):
                 depth, mark = depth + 1, len(trail)
             if outcome:  # a rule's children
                 after = len(trail)
-                stack += [(c, after, depth) for c in outcome[:0:-1]]
-                f = outcome[0]
-            elif type(f) is not Cons:  # the conjunction is done: its continuation runs
-                f = nxt
+                stack += [(c, e, n, after, depth) for c, e, n in outcome[:0:-1]]
+                f, env, nxt = outcome[0]
         yield (depth, None, "error", _CUT, mark) if every_node else _CUT
 
     def _leaf(self, outcome) -> Leaf:
@@ -489,18 +486,18 @@ class _Search(FreshNames):
     # -- the rules the loop calls -------------------------------------------
 
     def _expand_or(self, head: Or, env: Env, rest: Goal | None) -> Expansion:
-        return "disjunction", (goal(head.left, env, rest), goal(head.right, env, rest))
+        return "disjunction", ((head.left, env, rest), (head.right, env, rest))
 
     def _expand_exists(self, head: Exists, env: Env, rest: Goal | None) -> Expansion:
         inner = {**env, head.var: Var(self.fresh(head.var), head.sort)}
-        return "exists", (goal(head.body, inner, rest),)
+        return "exists", ((head.body, inner, rest),)
 
     def _expand_call(self, head: Call, env: Env, rest: Goal | None) -> Expansion:
         proc = self.code.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
         callee = {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, head.args)}
-        return "procedure-unfold", (goal(proc.body, callee, rest),)
+        return "procedure-unfold", ((proc.body, callee, rest),)
 
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
         """A liberal negation continues on a failed operand and fails on a
@@ -511,9 +508,9 @@ class _Search(FreshNames):
         if strict and not closed:
             return "negation", ERRORS[NEGAND_UNDETERMINED]
         tag = "negation" if closed else "liberal-negation"
-        status, bindings = self.subtree_status(goal(head.body, env, None))
+        status, bindings = self.subtree_status(head.body, env)
         if status is TreeStatus.FAILED:
-            return tag, (rest,)
+            return tag, ((EMPTY, env, rest),)
         if status is TreeStatus.SUCCESSFUL and (
                 closed or self._witness_clean(head.body, env, bindings)
                 or closed is None and self.formula_closed(head.body, env)):
@@ -525,15 +522,15 @@ class _Search(FreshNames):
         if mode is not ImplicationMode.STRICT:
             rewritten = self.code.part(("rewrite", id(head), mode), head,
                                        lambda: _rewrite(head, mode))
-            return "implication-rewrite", (Goal(rewritten, env, rest),)
+            return "implication-rewrite", ((rewritten, env, rest),)
         if self.cfg.pedantic and not self.formula_closed(head.antecedent, env):
             return "implication", ERRORS[ANTECEDENT_UNDETERMINED]
-        status, bindings = self.subtree_status(goal(head.antecedent, env, None))
+        status, bindings = self.subtree_status(head.antecedent, env)
         if status is TreeStatus.FAILED:
-            return "implication", (rest,)
+            return "implication", ((EMPTY, env, rest),)
         if status is TreeStatus.SUCCESSFUL:
             if self.cfg.pedantic or self._witness_clean(head.antecedent, env, bindings):
-                return "implication", (goal(head.consequent, env, rest),)
+                return "implication", ((head.consequent, env, rest),)
         return "implication", ERRORS[ANTECEDENT_UNDETERMINED]
 
     def _expand_bounded(self, head: ExistsBounded | ForallBounded, env: Env,
@@ -552,8 +549,8 @@ class _Search(FreshNames):
 
     # -- sub-tree status (negands, antecedents) -----------------------------
 
-    def subtree_status(self, g: Goal | None) -> tuple[TreeStatus, Bindings]:
-        """Explore the tree of g under the current state: stop at the first
+    def subtree_status(self, f: Formula, env: Env) -> tuple[TreeStatus, Bindings]:
+        """Explore the tree of f under env and the current state: stop at the first
         success leaf (the bindings it made are the witness); otherwise exhaust
         the tree so FAILED really means only-failure-leaves.  The state is
         restored before returning; a budget cut propagates to the caller."""
@@ -561,7 +558,7 @@ class _Search(FreshNames):
         base = len(state.trail)
         saw_error = False
         try:
-            for outcome in self.walk(g):
+            for outcome in self.walk(f, env):
                 if outcome is _SUCCEEDED:
                     return TreeStatus.SUCCESSFUL, state.bindings_since(base)
                 if outcome is _CUT:
@@ -707,7 +704,7 @@ def iter_leaves(
 ) -> Iterator[Leaf]:
     """Lazy left-to-right leaf sequence of the query's computation tree."""
     search = _Search(program, config, initial)
-    for outcome in search.walk(goal(program.query, EMPTY_ENV, None)):
+    for outcome in search.walk(program.query, EMPTY_ENV):
         yield search._leaf(outcome)
 
 
@@ -722,7 +719,7 @@ def solve(
     search = _Search(program, config, initial)
     leaves: list[Leaf] = []
     successes = errors = 0
-    for outcome in search.walk(goal(program.query, EMPTY_ENV, None)):
+    for outcome in search.walk(program.query, EMPTY_ENV):
         if outcome is not _SUCCEEDED:
             leaves.append(outcome)
             errors += type(outcome) is Error
@@ -748,7 +745,7 @@ def eval_subtree_status(
     search = _Search(program, config, a, check=False)
     search.code = Code(program)
     try:
-        status, bindings = search.subtree_status(goal(f, EMPTY_ENV, None))
+        status, bindings = search.subtree_status(f, EMPTY_ENV)
     except _BudgetExceeded:
         return TreeStatus.UNDETERMINED, None
     if status is not TreeStatus.SUCCESSFUL:
@@ -777,7 +774,7 @@ def iter_trace(
     # stores[d] is the store the nodes at depth d start from: their parent's,
     # when its expansion bound nothing, else a snapshot taken right after it
     stores = [state.snapshot()]
-    walk = search.walk(goal(program.query, EMPTY_ENV, None), every_node=True)
+    walk = search.walk(program.query, EMPTY_ENV, every_node=True)
     for depth, g, tag, outcome, mark in walk:
         if outcome is _CUT:
             yield depth, TraceNode(tag, leaf=outcome)
