@@ -367,7 +367,8 @@ Expansion = tuple[str, "tuple[tuple[Formula, Env, Goal | None], ...] | Leaf | Ra
 
 
 class _Search(FreshNames):
-    # set by iter_trace: a liberal negation then checks closedness for its tag
+    # set by iter_trace for its own walk: a liberal negation there checks
+    # closedness for its tag
     tracing = False
 
     def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation,
@@ -554,9 +555,9 @@ class _Search(FreshNames):
         success leaf (the bindings it made are the witness); otherwise exhaust
         the tree so FAILED really means only-failure-leaves.  The state is
         restored before returning; a budget cut propagates to the caller."""
-        state = self.state
+        state, tracing = self.state, self.tracing
         base = len(state.trail)
-        saw_error = False
+        saw_error = self.tracing = False  # a trace shows no node of a sub-tree
         try:
             for outcome in self.walk(f, env):
                 if outcome is _SUCCEEDED:
@@ -568,6 +569,7 @@ class _Search(FreshNames):
             return (TreeStatus.UNDETERMINED if saw_error else TreeStatus.FAILED), ()
         finally:
             state.undo_to(base)
+            self.tracing = tracing
 
     def _witness_clean(self, operand: Formula, env: Env, bindings: Bindings) -> bool:
         """A success of the operand refutes its negation only when the witness
