@@ -1,10 +1,10 @@
 """A deliberately naive reference interpreter for strict implication and
-strict or liberal negation: recursive, materializes every leaf list eagerly, immutable
-environments, no trail, no laziness.  Structurally independent from the
-engine so the two can be compared leaf for leaf: it substitutes instead of
-running bodies under environments, and it has its own term evaluation, atom
-classification and closedness check, written from the paper's definitions
-rather than taken from fap.values.
+strict or liberal negation: recursive, materializes every leaf list
+eagerly, immutable environments, no trail, no laziness.  Structurally
+independent from the engine so the two can be compared leaf for leaf: it
+substitutes instead of running bodies under environments, and it has its
+own term evaluation, atom classification, closedness and witness checks,
+written from the paper's definitions rather than taken from fap.values.
 
 Strict negation and pedantic implication need a closed operand.  Liberal
 negation runs any operand: a failed one lets the negation hold, and a

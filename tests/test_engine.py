@@ -1,8 +1,8 @@
 import copy
 import hashlib
 import itertools
-from collections import Counter
 import pickle
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -458,8 +458,8 @@ def test_trace_leaves_match_solve_leaves():
 
 
 def test_traced_tags_of_the_sized_squares_are_pinned():
-    # the rule tags of every node, in the order they were recorded before
-    # the step loop ran atoms and ranges itself
+    # how many nodes of each rule tag a trace shows, recorded from a run:
+    # how the loop steps must not change what a trace reports
     sizes = Valuation(cells={("Sizes", (1,)): 4, ("Sizes", (2,)): 1, ("Sizes", (3,)): 1})
     squares = load(squares_program(5, 4, 3))
     pinned = {
