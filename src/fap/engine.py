@@ -29,17 +29,21 @@ range reads it and builds no formula.
 
 Nor is the text walked again at every step.  The program's compiled form
 (ProgramUnit.code, a values.Code) holds one closure per atom and per
-non-constant bound the search has reached, one closedness check per negation
-operand and antecedent (the binders inside the operand are known when it is
-compiled) and each implication's rewrite per mode, each built the first time
-the search reaches it and reused by every later search of the program.
+non-constant bound the search has reached and each implication's rewrite
+per mode, each built the first time the search reaches it and reused by
+every later search of the program.
 Atoms are still classified through classify_atom and a range's bounds
 evaluated, on its first step, through try_eval_term, the names the
 benchmark's spans wrap.  The terms environments hold are built at run time
 (subst_term) and are never compiled: a chain of calls can make them
 arbitrarily deep, so they are evaluated and checked with explicit stacks.
-A liberal negation checks closedness only where the answer is read: for a
-success whose witness is dirty, and for the tag of a traced node.
+Closedness is not compiled either: formula_closed reads it off the text,
+term by term under the environment, because few steps ask for it.  A strict
+negation and a pedantic implication ask before their sub-tree runs; a
+liberal negation asks only where the answer is read, for a success whose
+witness is dirty and for the tag of a traced node; nothing else asks.  So
+the tiling of the benchmark asks 0 times, and its sweep of generated
+programs about once in five solves.
 
 Internally the search keeps one mutable binding store with an undo trail
 (bindings are cheap, backtracking pops the trail), but everything it emits is
@@ -109,7 +113,6 @@ from .values import (
     CLOSED_TRUE,
     Cell,
     Code,
-    Decls,
     EMPTY_ENV,
     EMPTY_VALUATION,
     Env,
@@ -117,7 +120,7 @@ from .values import (
     Valuation,
     Value,
     classify_atom,
-    closed_checks,
+    closed_value,
     try_eval_term,
 )
 
@@ -494,11 +497,16 @@ class _Search(FreshNames):
         return "exists", ((head.body, inner, rest),)
 
     def _expand_call(self, head: Call, env: Env, rest: Goal | None) -> Expansion:
+        body, callee = self._callee(head, env)
+        return "procedure-unfold", ((body, callee, rest),)
+
+    def _callee(self, head: Call, env: Env) -> tuple[Formula, Env]:
+        """The body of the procedure head calls and the environment it runs
+        under: each parameter bound to its argument with env substituted."""
         proc = self.code.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
-        callee = {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, head.args)}
-        return "procedure-unfold", ((proc.body, callee, rest),)
+        return proc.body, {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, head.args)}
 
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
         """A liberal negation continues on a failed operand and fails on a
@@ -600,54 +608,31 @@ class _Search(FreshNames):
         bound cell.  References whose indices depend on quantified variables
         cannot be resolved statically and count as not closed.
 
-        Each formula is checked by its compiled check (_closed), met with
-        the binders seen on the way to it.  A call's body is checked under
-        the callee's environment, from a stack of its own, so a deep chain
-        of calls does not recurse."""
-        code = self.code
-        scalars, cells = self.state.scalars, self.state.cells
-        todo = [(f, frozenset(), env)]
+        The text is read as written: each term with env substituted, and a
+        binder met on the way to it counts as closed.  No environment maps a
+        binder of the formula it reads (binder names are unique and calls are
+        acyclic), so an array index that reads one reads it as open.  A
+        call's body is read under the callee's environment, from the same
+        stack, so a deep chain of calls does not recurse."""
+        arrays, scalars, cells = self.code.arrays, self.state.scalars, self.state.cells
+        todo = [(f, env, frozenset())]  # (formula, its environment, binders met)
         while todo:
-            f, bound, env = todo.pop()
-            checks, calls = code.part(
-                ("closed", id(f), bound), f, lambda: _closed(f, bound, code.arrays)
-            )
-            for check in checks:
-                if not check(env, scalars, cells):
-                    return False
-            for name, args, inner in calls:
-                proc = code.procedures.get(name)
-                if proc is None:
-                    return False
-                callee = {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, args)}
-                todo.append((proc.body, inner, callee))
+            f, env, bound = todo.pop()
+            while type(f) is Cons:
+                h = f.head
+                terms, subs, var = head_parts(h)
+                for t in terms:
+                    if not closed_value(subst_term(t, env) if env else t,
+                                        bound, scalars, cells, arrays):
+                        return False
+                if type(h) is Call:
+                    body, callee = self._callee(h, env)
+                    todo.append((body, callee, bound))
+                if subs:
+                    inner = bound if var is None else bound | {var}
+                    todo += [(sub, env, inner) for sub in subs]
+                f = f.tail
         return True
-
-
-def _closed(f: Formula, bound: frozenset[str], arrays: Decls) -> tuple[tuple, tuple]:
-    """The closedness check of f, met with the binders `bound`: the checks
-    of its terms, each term checked once, in written order, and its calls,
-    each as (procedure name, arguments, binders met at the call).
-    A name bound inside f is not in the environment f is checked under."""
-    checks, calls, seen = [], [], set()
-    todo = [(f, frozenset())]  # (formula, the binders met inside f)
-    while todo:
-        f, local = todo.pop()
-        if type(f) is not Cons:
-            continue
-        todo.append((f.tail, local))
-        h = f.head
-        terms, subs, var = head_parts(h)
-        for t in terms:
-            for part, check in closed_checks(t, arrays, bound | local):
-                if (part, local) not in seen:
-                    seen.add((part, local))
-                    checks.append(check)
-        if type(h) is Call:
-            calls.append((h.name, h.args, bound | local))
-        inner = local if var is None else local | {var}
-        todo += ((sub, inner) for sub in reversed(subs))
-    return tuple(checks), tuple(calls)
 
 
 def _rewrite(head: Implies, mode: ImplicationMode) -> Cons:

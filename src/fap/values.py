@@ -227,7 +227,10 @@ NO_ARRAYS: Decls = {}  # shared: never written
 class Code:
     """The compiled form of one program unit, built part by part: a term or
     atom is compiled the first time it is asked for, and so is each part the
-    engine compiles (closedness checks, implication rewrites).  The table is
+    engine keeps (implication rewrites, the free variables of a witness-checked
+    operand).  Closedness is read off the text instead (engine.formula_closed):
+    only strict negation, pedantic implication, a dirty witness and a traced
+    negation's tag ask for it, too rarely for compiling it to pay.  The table is
     keyed by the identity of program-text nodes and keeps every node it is
     keyed by alive, so no key is ever reused by another node.  Give it only
     nodes of the program text: a node built at run time would be compiled on
@@ -404,54 +407,6 @@ def compile_cell(t: ArrayRef, arrays: Decls) -> TermCode:
     return cell
 
 
-def closed_checks(
-    t: Term, arrays: Decls, bound: frozenset[str]
-) -> list[tuple[Term, Callable[[Env, dict, dict], bool]]]:
-    """(part, check) pairs whose checks together say t is closed inside a
-    formula whose binders met so far are `bound`: every variable has a value
-    or is such a binder, and every array reference denotes a bound cell, so
-    a reference whose index reads a binder without a value is not closed.
-    Constants and binders need no check, and a function application is
-    closed when its arguments are.  The environment never holds a binder of
-    the formula being checked (binder names are unique and calls are
-    acyclic), so an index reads such a binder as open."""
-    checks = []
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        kind = type(t)
-        if kind is App:
-            todo += reversed(t.args)
-        elif kind is Var and t.name not in bound:
-            checks.append((t, _closed_var(t.name, arrays, bound)))
-        elif kind is ArrayRef:
-            checks.append((t, _closed_ref(compile_cell(t, arrays))))
-    return checks
-
-
-def _closed_var(name: str, arrays: Decls, bound: frozenset[str]):
-    def closed_var(env, scalars, cells, name=name, arrays=arrays, bound=bound):
-        resolved = env.get(name)
-        if resolved is None:
-            return name in scalars or name in bound
-        if type(resolved) is Var:
-            return resolved.name in scalars or resolved.name in bound
-        return closed_value(resolved, bound, scalars, cells, arrays)
-
-    return closed_var
-
-
-def _closed_ref(cell_of: TermCode):
-    def closed_ref(env, scalars, cells, cell_of=cell_of):
-        try:
-            cell = cell_of(env, scalars, cells)
-        except EvalFault:
-            return False
-        return cell is not _OPEN and cell in cells
-
-    return closed_ref
-
-
 # ---------------------------------------------------------------------------
 # Terms built at run time: the resolved terms environments hold.  A chain of
 # calls can make them arbitrarily deep, so they are walked with an explicit
@@ -520,8 +475,8 @@ def cell_value(t: ArrayRef, scalars: dict, cells: dict, arrays: Decls):
 def closed_value(
     t: Term, bound: frozenset[str], scalars: dict, cells: dict, arrays: Decls
 ) -> bool:
-    """Whether a run-time term is closed: each variable has a value or is in
-    bound, and each array reference denotes a bound cell."""
+    """Whether t is closed under an empty environment: each variable has a
+    value or is in bound, and each array reference denotes a bound cell."""
     todo = [t]
     while todo:
         t = todo.pop()

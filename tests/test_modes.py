@@ -1,5 +1,7 @@
 """The worked negation/implication relaxation cases, pinned one by one."""
 
+import pytest
+
 from helpers import leaf_kinds
 from fap.engine import (
     ANTECEDENT_UNDETERMINED,
@@ -115,6 +117,56 @@ def test_a_call_that_only_reads_the_binder_is_closed():
     for config in (STRICT, LIBERAL):
         r = solve(p, EMPTY_VALUATION, config)
         assert leaf_kinds(r.leaves) == ["Fail"] and r.status is TreeStatus.FAILED
+
+
+# A parameter named like a free variable of the query: the callee's x is the
+# caller's argument, read once, never the query's x.  Each case gives, under
+# strict, pedantic and liberal negation, (status, leaf counts, solutions, tag
+# of the NOT or -> node in a trace).
+PEDANTIC = EngineConfig(pedantic=True)
+X2 = Valuation({"x": 2})
+X1_A5 = Valuation({"x": 1}, {("a", (2,)): 5})
+Y1 = Valuation({"y": 1})
+OK, STUCK = TreeStatus.SUCCESSFUL, TreeStatus.UNDETERMINED
+CLOSEDNESS_TAGS = ("negation", "liberal-negation", "implication")
+CLASHES = [
+    ("def p(x) := x = 1;\nquery x = 2 AND NOT p(x + 1);",
+     [(OK, (1, 0, 0), (X2,), "negation")] * 3),
+    ("def p(x) := x = 1;\nquery NOT p(x + 1) AND x = 2;",
+     [(STUCK, (0, 0, 1), (), "negation")] * 2 + [(STUCK, (0, 0, 1), (), "liberal-negation")]),
+    ("array a[1..3] : int;\ndef p(x) := a[x] = 1;\nquery x = 1 AND a[2] = 5 AND NOT p(x + 1);",
+     [(OK, (1, 0, 0), (X1_A5,), "negation")] * 3),
+    ("array a[1..3] : int;\ndef p(x) := a[x] = 1;\nquery x = 1 AND NOT p(x + 1);",
+     [(STUCK, (0, 0, 1), (), "negation")] * 2 + [(STUCK, (0, 0, 1), (), "liberal-negation")]),
+    ("def p(x, y) := x = y;\nquery y = 1 AND (p(y, 2) -> x = 3);",
+     [(OK, (1, 0, 0), (Y1,), "implication")] * 3),
+]
+
+
+def test_closedness_where_a_parameter_is_named_like_a_free_variable():
+    from fap.normalize import load
+
+    for src, expected in CLASHES:
+        for config, (status, counts, solutions, tag) in zip((STRICT, PEDANTIC, LIBERAL), expected):
+            r = solve(load(src), EMPTY_VALUATION, config)
+            assert (r.status, r.leaf_counts, r.solutions) == (status, counts, solutions), src
+            assert r.error_causes == (() if status is OK else (NEGAND_UNDETERMINED,))
+            tags = [node.tag for _, node in iter_trace(load(src), config=config)]
+            assert next(t for t in tags if t in CLOSEDNESS_TAGS) == tag, src
+
+
+def test_an_unknown_procedure_raises_under_every_mode():
+    # the parser rejects a call of an undefined procedure; a hand-built
+    # program reaches the engine, which says so whether or not the call runs
+    from fap.formulas import Call, Implies, Not, ProgramUnit, TrueAtom, conj
+    from fap.normalize import normalize_program
+
+    call = conj(Call("q", ()))
+    negation = normalize_program(ProgramUnit(query=conj(Not(call))))
+    implication = normalize_program(ProgramUnit(query=conj(Implies(call, conj(TrueAtom())))))
+    for program, config in ((negation, STRICT), (negation, LIBERAL), (implication, PEDANTIC)):
+        with pytest.raises(ValueError, match="unknown procedure 'q'"):
+            solve(program, EMPTY_VALUATION, config)
 
 
 def test_internal_existential_witness_is_clean():
