@@ -41,7 +41,7 @@ Closedness is not compiled either: formula_closed reads it off the text,
 term by term under the environment, because few steps ask for it.  A strict
 negation and a pedantic implication ask before their sub-tree runs; a
 liberal negation asks only where the answer is read, for a success whose
-witness is dirty and for the tag of a traced node; nothing else asks.  So
+witness is dirty; iter_trace asks to tag each one it shows.  So
 the tiling of the benchmark asks 0 times, and its sweep of generated
 programs about once in five solves.
 
@@ -52,7 +52,9 @@ an immutable Valuation snapshot, so solve/trace stay pure functions of
 step a call checks and copies only what the initial valuation holds, and a
 success leaf copies the store once.
 
-One depth-first loop, _Search.walk, runs every step of every tree.  An atom
+One depth-first loop, _Search.walk, runs every step of every tree and ends
+every search: at the end of its tree, at the solution limit or at a budget
+cut.  An atom
 or a step through a range allocates only the binding and the cursor it
 keeps: the loop holds the goal as a conjunction cell, an environment and a
 continuation, and builds a goal only for a node of a trace.  The other rules
@@ -306,10 +308,6 @@ class SolveResult:
         return tuple(sorted({l.cause for l in self.leaves if isinstance(l, Error)}))
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 Bindings = tuple[tuple["str | Cell", Value], ...]
 
 
@@ -370,10 +368,6 @@ Expansion = tuple[str, "tuple[tuple[Formula, Env, Goal | None], ...] | Leaf | Ra
 
 
 class _Search(FreshNames):
-    # set by iter_trace for its own walk: a liberal negation there checks
-    # closedness for its tag
-    tracing = False
-
     def __init__(self, program: ProgramUnit, config: EngineConfig, initial: Valuation,
                  check: bool = True):
         """A search of `program` from `initial`, after checking both."""
@@ -385,22 +379,25 @@ class _Search(FreshNames):
         self.cfg = config
         self.code = program.code
         self.steps = 0
-        self.limit = sys.maxsize if config.max_steps is None else config.max_steps
+        self.budget = sys.maxsize if config.max_steps is None else config.max_steps
         self.state = _State(initial)
 
     # -- the depth-first loop ------------------------------------------------
 
-    def walk(self, f: Formula, env: Env, every_node: bool = False) -> Iterator:
+    def walk(self, f: Formula, env: Env, every_node: bool = False,
+             limit: int | None = None) -> Iterator:
         """Run the tree of f under env and the current state, depth first and
         left to right.  Yield each leaf's outcome (_SUCCEEDED, FAIL, an
         Error), or with every_node (a trace) (depth, goal, tag, outcome, mark)
         for each node, an inner one's outcome a tuple; mark is the trail
         length before the step, and the store is as the step left it.  A
-        step's first child runs next, the others wait on the stack.  A budget
-        cut yields _CUT at the depth of the goal it cut and ends the walk."""
-        state, code, limit = self.state, self.code, self.limit
+        step's first child runs next, the others wait on the stack.  The walk
+        returns after its limit-th success.  A budget cut, in this walk or in
+        a sub-tree a rule read, yields _CUT at the depth of the goal it cut
+        and ends the walk."""
+        state, code, budget = self.state, self.code, self.budget
         trail, stack = state.trail, []
-        nxt, mark, depth = None, len(trail), 0
+        nxt, mark, depth, found = None, len(trail), 0, 0
         while True:
             if type(f) is Cons:
                 if every_node:
@@ -410,7 +407,7 @@ class _Search(FreshNames):
                 if type(f) is Goal:  # a cursor or the empty goal runs as it is
                     f, env, nxt = f.formula, f.env, f.next
             self.steps += 1
-            if self.steps > limit:
+            if self.steps > budget:
                 break
             if type(f) is Cons and type(f.head) in _ATOMS:  # the commonest step
                 tag, cls = "atom", classify_atom(f.head, state, code, env)
@@ -429,10 +426,9 @@ class _Search(FreshNames):
                 if rule is None:
                     raise (ValueError("unbounded FORALL reached the engine; normalize first")
                            if isinstance(head, Forall) else TypeError(f"unknown head {head!r}"))
-                try:
-                    tag, outcome = rule(self, head, env,
-                                        Goal(tail, env, nxt) if type(tail) is Cons else nxt)
-                except _BudgetExceeded:  # inside a sub-tree
+                tag, outcome = rule(self, head, env,
+                                    Goal(tail, env, nxt) if type(tail) is Cons else nxt)
+                if self.steps > budget:  # a sub-tree the rule read was cut
                     break
                 if type(outcome) is Range:  # a range with its bounds: step it below
                     f = outcome
@@ -460,6 +456,10 @@ class _Search(FreshNames):
                             head, lo + 1, hi, r.prefix, inner if exists else env, nxt, exists)
             if type(outcome) is not tuple:  # a leaf: the next goal waits on the stack
                 yield (depth, node, tag, outcome, mark) if every_node else outcome
+                if outcome is _SUCCEEDED:
+                    found += 1
+                    if found == limit:
+                        return
                 if not stack:
                     return
                 f, env, nxt, mark, depth = stack.pop()
@@ -506,23 +506,26 @@ class _Search(FreshNames):
         proc = self.code.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
+        if len(proc.params) != len(head.args):
+            raise ValueError(f"procedure {head.name!r} expects {len(proc.params)} "
+                             f"argument(s), got {len(head.args)}")
         return proc.body, {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, head.args)}
 
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
         """A liberal negation continues on a failed operand and fails on a
         clean witness whatever closedness says, so it checks closedness only
-        for a dirty witness, and in a trace for its tag."""
+        for a dirty witness.  It is tagged liberal-negation even when its
+        operand is closed; iter_trace relabels the nodes it shows."""
         strict = self.cfg.negation is NegationMode.STRICT
-        closed = self.formula_closed(head.body, env) if strict or self.tracing else None
-        if strict and not closed:
+        if strict and not self.formula_closed(head.body, env):
             return "negation", ERRORS[NEGAND_UNDETERMINED]
-        tag = "negation" if closed else "liberal-negation"
+        tag = "negation" if strict else "liberal-negation"
         status, bindings = self.subtree_status(head.body, env)
         if status is TreeStatus.FAILED:
             return tag, ((EMPTY, env, rest),)
         if status is TreeStatus.SUCCESSFUL and (
-                closed or self._witness_clean(head.body, env, bindings)
-                or closed is None and self.formula_closed(head.body, env)):
+                strict or self._witness_clean(head.body, env, bindings)
+                or self.formula_closed(head.body, env)):
             return tag, FAIL
         return tag, ERRORS[NEGAND_UNDETERMINED]
 
@@ -561,23 +564,21 @@ class _Search(FreshNames):
     def subtree_status(self, f: Formula, env: Env) -> tuple[TreeStatus, Bindings]:
         """Explore the tree of f under env and the current state: stop at the first
         success leaf (the bindings it made are the witness); otherwise exhaust
-        the tree so FAILED really means only-failure-leaves.  The state is
-        restored before returning; a budget cut propagates to the caller."""
-        state, tracing = self.state, self.tracing
+        the tree so FAILED really means only-failure-leaves.  A budget cut is
+        an error leaf, so a cut tree reads UNDETERMINED.  The state is
+        restored before returning."""
+        state = self.state
         base = len(state.trail)
-        saw_error = self.tracing = False  # a trace shows no node of a sub-tree
+        saw_error = False
         try:
             for outcome in self.walk(f, env):
                 if outcome is _SUCCEEDED:
                     return TreeStatus.SUCCESSFUL, state.bindings_since(base)
-                if outcome is _CUT:
-                    raise _BudgetExceeded()
                 if type(outcome) is Error:
                     saw_error = True
             return (TreeStatus.UNDETERMINED if saw_error else TreeStatus.FAILED), ()
         finally:
             state.undo_to(base)
-            self.tracing = tracing
 
     def _witness_clean(self, operand: Formula, env: Env, bindings: Bindings) -> bool:
         """A success of the operand refutes its negation only when the witness
@@ -691,7 +692,7 @@ def iter_leaves(
 ) -> Iterator[Leaf]:
     """Lazy left-to-right leaf sequence of the query's computation tree."""
     search = _Search(program, config, initial)
-    for outcome in search.walk(program.query, EMPTY_ENV):
+    for outcome in search.walk(program.query, EMPTY_ENV, limit=config.solution_limit):
         yield search._leaf(outcome)
 
 
@@ -705,17 +706,14 @@ def solve(
     UNDETERMINED otherwise."""
     search = _Search(program, config, initial)
     leaves: list[Leaf] = []
-    successes = errors = 0
-    for outcome in search.walk(program.query, EMPTY_ENV):
-        if outcome is not _SUCCEEDED:
-            leaves.append(outcome)
-            errors += type(outcome) is Error
-            continue
-        leaves.append(search._leaf(outcome))
-        successes += 1
-        if successes == config.solution_limit:
-            break
-    status = (TreeStatus.SUCCESSFUL if successes
+    succeeded = errors = False
+    for outcome in search.walk(program.query, EMPTY_ENV, limit=config.solution_limit):
+        if outcome is _SUCCEEDED:
+            succeeded, outcome = True, search._leaf(outcome)
+        elif type(outcome) is Error:
+            errors = True
+        leaves.append(outcome)
+    status = (TreeStatus.SUCCESSFUL if succeeded
               else TreeStatus.UNDETERMINED if errors else TreeStatus.FAILED)
     return SolveResult(tuple(leaves), status, search.steps)
 
@@ -731,10 +729,7 @@ def eval_subtree_status(
     f need not be part of the program, so it runs on code of its own."""
     search = _Search(program, config, a, check=False)
     search.code = Code(program)
-    try:
-        status, bindings = search.subtree_status(f, EMPTY_ENV)
-    except _BudgetExceeded:
-        return TreeStatus.UNDETERMINED, None
+    status, bindings = search.subtree_status(f, EMPTY_ENV)
     if status is not TreeStatus.SUCCESSFUL:
         return status, None
     scalars, cells = dict(a.scalars), dict(a.cells)
@@ -749,23 +744,25 @@ def iter_trace(
     config: EngineConfig = EngineConfig(),
 ) -> Iterator[tuple[int, TraceNode]]:
     """The computation tree as a lazy preorder stream of (depth, node), nodes
-    tagged with the rule that fired and without children: a leaf node follows
+    tagged with the rule that fired (a liberal negation whose operand is
+    closed as a negation) and without children: a leaf node follows
     the node it ends.  The search runs only as far as the stream is read.  On
     budget exhaustion a step-budget error node, at the depth of the goal it
     cut, ends the stream.  Nodes expanded under the same store share one
     snapshot of it, a Snapshot of the store it extends but at the root."""
     search = _Search(program, config, initial)
-    search.tracing = True
     state = search.state
-    successes = 0
     # stores[d] is the store the nodes at depth d start from: their parent's,
     # when its expansion bound nothing, else a snapshot taken right after it
     stores = [state.snapshot()]
-    walk = search.walk(program.query, EMPTY_ENV, every_node=True)
+    walk = search.walk(program.query, EMPTY_ENV, every_node=True, limit=config.solution_limit)
     for depth, g, tag, outcome, mark in walk:
         if outcome is _CUT:
             yield depth, TraceNode(tag, leaf=outcome)
             return
+        # a negation binds nothing, so the store is still the one it ran under
+        if tag == "liberal-negation" and search.formula_closed(g.formula.head.body, g.env):
+            tag = "negation"
         yield depth, TraceNode(tag, goal=g, valuation=stores[depth])
         if type(outcome) is tuple:
             del stores[depth + 1:]
@@ -775,10 +772,6 @@ def iter_trace(
         leaf = search._leaf(outcome)
         valuation = leaf.valuation if outcome is _SUCCEEDED else None
         yield depth + 1, TraceNode(_LEAF_TAGS[type(leaf)], valuation=valuation, leaf=leaf)
-        if outcome is _SUCCEEDED:
-            successes += 1
-            if successes == config.solution_limit:
-                return
 
 
 def trace(

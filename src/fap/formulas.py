@@ -467,7 +467,7 @@ def subst_formula(f: Formula, mapping: Mapping[str, Term]) -> Formula:
 # bound names are stripped back to their surface base (avoiding capture), so
 # printing a normalized program yields legal surface text.
 
-_TERM_ADD, _TERM_MUL, _TERM_ATOM = 1, 2, 3
+_TERM_ADD, _TERM_MUL = 1, 2  # precedence levels; an operand above _TERM_MUL is an atom
 _MUL_OPS = ("*", "div", "mod")
 
 

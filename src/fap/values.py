@@ -511,12 +511,9 @@ def try_eval_term(t: Term, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> Va
 
 def is_closed(t: Term, a: Valuation, arrays: Decls = NO_ARRAYS) -> bool:
     """True iff every variable of t is bound and every array reference has
-    closed indices whose cell is bound.  Faulting terms count as not closed;
-    the fault itself surfaces when the atom is classified or evaluated."""
-    try:
-        return value_of(t, a.scalars, a.cells, arrays) is not _OPEN
-    except EvalFault:
-        return False
+    closed indices whose cell is bound: the engine's closedness.  A closed
+    term may still fault (1 div 0), which eval_term raises."""
+    return closed_value(t, frozenset(), a.scalars, a.cells, arrays)
 
 
 def eval_term(t: Term, a: Valuation, arrays: Decls = NO_ARRAYS) -> Value:

@@ -335,6 +335,30 @@ def test_array_out_of_range_is_an_error_leaf():
     assert r.error_causes == ("evaluation-fault",)
 
 
+ARRAY_DECLS = ("array m[1..2, 1..2] : int;\narray c[1..2, 1..2, 1..2] : int;\n"
+               "array a[1..3] : int;\ndef p(u) := u = 1;\n")
+
+
+@pytest.mark.parametrize("query, status, counts, causes, solutions", [
+    # each index of a 2-D and a 3-D reference open or out of range
+    ("m[i, 1] = 3", TreeStatus.UNDETERMINED, (0, 0, 1), ("atom-not-evaluable",), ()),
+    ("m[1, j] = 3", TreeStatus.UNDETERMINED, (0, 0, 1), ("atom-not-evaluable",), ()),
+    ("m[1, 3] = 3", TreeStatus.UNDETERMINED, (0, 0, 1), ("evaluation-fault",), ()),
+    ("c[1, k, 1] = 3", TreeStatus.UNDETERMINED, (0, 0, 1), ("atom-not-evaluable",), ()),
+    ("c[1, 2, 5] = 3", TreeStatus.UNDETERMINED, (0, 0, 1), ("evaluation-fault",), ()),
+    ("c[1, 2, 1] = 3 AND c[1, 2, 1] = x", TreeStatus.SUCCESSFUL, (1, 0, 0), (),
+     (Valuation({"x": 3}, {("c", (1, 2, 1)): 3}),)),
+    # a reference passed to a procedure, read by it as a run-time term
+    ("p(a[7])", TreeStatus.UNDETERMINED, (0, 0, 1), ("evaluation-fault",), ()),
+    ("p(a[i])", TreeStatus.UNDETERMINED, (0, 0, 1), ("atom-not-evaluable",), ()),
+    ("p(a[2])", TreeStatus.SUCCESSFUL, (1, 0, 0), (), (Valuation({}, {("a", (2,)): 1}),)),
+])
+def test_array_references_of_every_shape(query, status, counts, causes, solutions):
+    r = solve(load(ARRAY_DECLS + f"query {query};"))
+    assert (r.status, r.leaf_counts, r.error_causes, r.solutions) == (
+        status, counts, causes, solutions)
+
+
 def test_array_cells_in_initial_valuation():
     src = "array a[1..3] : int;\nquery a[2] = 7;"
     p = load(src)
@@ -436,20 +460,23 @@ def test_trace_leaves_match_solve_leaves():
             assert list(t.leaves()) == list(solve(pu, config=config).leaves)
     # solve, iter_leaves, trace and eval_subtree_status all read the one
     # depth-first driver: same leaves and same status in every mode, with
-    # budget cuts at the root's sub-trees, inside them and none
+    # budget cuts at the root's sub-trees, inside them and none, and with
+    # the search stopped at a solution limit or not
     inputs = [(path.stem, load(path.read_text(encoding="utf-8")), EMPTY_VALUATION)
               for path in sorted(CORPUS.glob("*.fap"))]
     sizes = Valuation(cells={("Sizes", (1,)): 4, ("Sizes", (2,)): 1, ("Sizes", (3,)): 1})
     squares = load(squares_program(5, 4, 3))
     inputs += [("squares", squares, EMPTY_VALUATION), ("squares_sized", squares, sizes)]
+    # no input above reaches a second success within these budgets
+    inputs.append(("or3", load_query("x = 1 OR x = 2 OR x = 3"), EMPTY_VALUATION))
     for name, pu, initial in inputs:
-        for neg, impl, pedantic, max_steps in itertools.product(
-            NegationMode, ImplicationMode, (False, True), (7, 60, 400, None)
+        for neg, impl, pedantic, max_steps, solution_limit in itertools.product(
+            NegationMode, ImplicationMode, (False, True), (7, 60, 400, None), (None, 2)
         ):
             if name == "queens8" and max_steps is None:
                 continue  # its whole tree has 222,712 steps
             config = EngineConfig(negation=neg, implication=impl, pedantic=pedantic,
-                                  max_steps=max_steps)
+                                  max_steps=max_steps, solution_limit=solution_limit)
             result = solve(pu, initial, config)
             assert list(iter_leaves(pu, initial, config)) == list(result.leaves), name
             assert list(trace(pu, initial, config).leaves()) == list(result.leaves), name

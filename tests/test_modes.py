@@ -169,6 +169,24 @@ def test_an_unknown_procedure_raises_under_every_mode():
             solve(program, EMPTY_VALUATION, config)
 
 
+def test_a_call_with_the_wrong_number_of_arguments_raises_under_every_mode():
+    # the parser rejects `def p(a) := a = 1; query p();`, a hand-built
+    # program reaches the engine, which must not run a = 1 with a free
+    from fap.formulas import (Call, Eq, Implies, IntConst, Not, ProcedureDef, ProgramUnit,
+                              Scalar, TrueAtom, Var, conj)
+    from fap.normalize import normalize_program
+
+    p = ProcedureDef("p", (("a", Scalar.INT),), conj(Eq(Var("a"), IntConst(1))))
+    call = conj(Call("p", ()))
+    for query, configs in ((call, (STRICT, LIBERAL, PEDANTIC)),
+                           (conj(Not(call)), (STRICT, LIBERAL)),
+                           (conj(Implies(call, conj(TrueAtom()))), (PEDANTIC,))):
+        program = normalize_program(ProgramUnit(procedures=(p,), query=query))
+        for config in configs:
+            with pytest.raises(ValueError, match=r"'p' expects 1 argument\(s\), got 0"):
+                solve(program, EMPTY_VALUATION, config)
+
+
 def test_internal_existential_witness_is_clean():
     # the operand succeeds but only pins its own bound variable
     r = run("NOT (SOME k := 1 TO 3 DO k = 2 END)", LIBERAL)

@@ -175,6 +175,29 @@ def test_duplicate_array():
     assert exc.value.kind == NAME
 
 
+@pytest.mark.parametrize("src, kind, message, line, col", [
+    ("def p(b : bool) := b = TRUE;\nquery p(1);",
+     SORT, "argument 'b' of 'p' needs bool, got int", 2, 1),
+    ("query SOME i := TRUE TO 3 DO i = 1 END;", SORT, "quantifier bounds must be integers", 1, 1),
+    ("query x = TRUE + 1;", SORT, "function '+' needs integer arguments", 1, 1),
+    ("array a[1..2, 1..2] : int;\nquery a[1] = 1;",
+     SORT, "array 'a' has 2 dimension(s), got 1 index(es)", 2, 1),
+    ("array a[1..2] : int;\nquery a[TRUE] = 1;", SORT, "array indices must be integers", 2, 1),
+    ("query x = q(1);", NAME, "unknown procedure 'q'", 1, 11),
+    ("def p(u) := u = 1;\nquery p = 1;", NAME, "'p' is a procedure, not a variable", 2, 1),
+    ("array a[1..2] : int;\ndef a(u) := u = 1;\nquery a[1] = 1;",
+     NAME, "'a' already names an array", 2, 5),
+    ("def p(u, u) := u = 1;\nquery p(1, 2);", NAME, "duplicate parameter 'u'", 1, 5),
+    ("def p(u) := u = 1;\narray a[1..2] : int;\nquery p(1);",
+     SYNTAX, "array declarations must precede procedure definitions", 2, 1),
+])
+def test_static_error_kind_message_and_position(src, kind, message, line, col):
+    with pytest.raises(Diagnostic) as exc:
+        parse(src)
+    d = exc.value
+    assert (d.kind, d.message, d.line, d.col) == (kind, message, line, col)
+
+
 def test_procedure_body_free_variables_must_be_params():
     with pytest.raises(Diagnostic) as exc:
         parse("def p(x) := x = y;\nquery p(1);")

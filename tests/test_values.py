@@ -24,6 +24,7 @@ from fap.values import (
     NotEvaluable,
     Valuation,
     classify_atom,
+    closed_value,
     eval_term,
     is_closed,
 )
@@ -62,14 +63,26 @@ def test_array_ref_closed_when_cell_bound():
     assert is_closed(ArrayRef("a", (Var("i"),)), v, A)
 
 
+MONOTONE_TERMS = [plus(X, IntConst(1)), App("*", (X, Y)), ArrayRef("a", (X,))]
+SMALL = Valuation({"x": 1}, {("a", (1,)): 5})
+BIG = SMALL.bind("y", 3).bind_cell(("a", (2,)), 7)
+
+
 def test_monotone_under_extension():
-    terms = [plus(X, IntConst(1)), App("*", (X, Y)), ArrayRef("a", (X,))]
-    small = Valuation({"x": 1}, {("a", (1,)): 5})
-    big = small.bind("y", 3).bind_cell(("a", (2,)), 7)
-    for t in terms:
-        if is_closed(t, small, A):
-            assert is_closed(t, big, A)
-            assert eval_term(t, small, A) == eval_term(t, big, A)
+    for t in MONOTONE_TERMS:
+        if is_closed(t, SMALL, A):
+            assert is_closed(t, BIG, A)
+            assert eval_term(t, SMALL, A) == eval_term(t, BIG, A)
+
+
+def test_is_closed_is_the_engines_closedness():
+    # closed is about what is bound, not whether evaluation succeeds
+    quotient = App("div", (IntConst(1), IntConst(0)))
+    assert is_closed(quotient, EMPTY_VALUATION)
+    with pytest.raises(EvalFault):
+        eval_term(quotient, EMPTY_VALUATION)
+    for t, a in itertools.product(MONOTONE_TERMS, (EMPTY_VALUATION, SMALL, BIG)):
+        assert is_closed(t, a, A) == closed_value(t, frozenset(), a.scalars, a.cells, A)
 
 
 # -- evaluation ---------------------------------------------------------------
