@@ -28,13 +28,14 @@ bound, as in Alma-0's and the WAM's retry choice points.  A step through a
 range reads it and builds no formula.
 
 Nor is the text walked again at every step.  The program's compiled form
-(ProgramUnit.code, a values.Code) holds one closure per atom and per
-non-constant bound the search has reached and each implication's rewrite
-per mode, each built the first time the search reaches it and reused by
-every later search of the program.
-Atoms are still classified through classify_atom and a range's bounds
-evaluated, on its first step, through try_eval_term, the names the
-benchmark's spans wrap.  The terms environments hold are built at run time
+(ProgramUnit.code, a values.Code) holds one generated function per atom
+and per non-constant bound the search has reached and each implication's
+rewrite per mode, each built the first time the search reaches it and
+reused by every later search of the program.  The loop looks an atom's
+function up by the atom's identity and runs it on the store itself: an
+equation that binds writes the value in place and returns the key it
+bound, which the loop pushes on the trail.  A range's first step runs
+its bounds' functions.  The terms environments hold are built at run time
 (subst_term) and are never compiled: a chain of calls can make them
 arbitrarily deep, so they are evaluated and checked with explicit stacks.
 Closedness is not compiled either: formula_closed reads it off the text,
@@ -98,6 +99,7 @@ from .formulas import (
     ProgramUnit,
     Rel,
     Scalar,
+    Term,
     TrueAtom,
     Var,
     conj,
@@ -110,7 +112,7 @@ from .formulas import (
 )
 from .normalize import FreshNames, fresh_prefix
 from .values import (
-    Assignment,
+    _OPEN,
     CLOSED_FALSE,
     CLOSED_TRUE,
     Cell,
@@ -119,11 +121,10 @@ from .values import (
     EMPTY_VALUATION,
     Env,
     EvalFault,
+    NotEvaluable,
     Valuation,
     Value,
-    classify_atom,
     closed_value,
-    try_eval_term,
 )
 
 # Error-leaf causes.
@@ -396,7 +397,8 @@ class _Search(FreshNames):
         a sub-tree a rule read, yields _CUT at the depth of the goal it cut
         and ends the walk."""
         state, code, budget = self.state, self.code, self.budget
-        trail, stack = state.trail, []
+        trail, stack, table = state.trail, [], code.table
+        scalars, cells = state.scalars, state.cells  # an atom that binds writes them
         nxt, mark, depth, found = None, len(trail), 0, 0
         while True:
             if type(f) is Cons:
@@ -410,16 +412,17 @@ class _Search(FreshNames):
             if self.steps > budget:
                 break
             if type(f) is Cons and type(f.head) in _ATOMS:  # the commonest step
-                tag, cls = "atom", classify_atom(f.head, state, code, env)
-                if cls is CLOSED_TRUE or type(cls) is Assignment:
-                    if cls is not CLOSED_TRUE:
-                        key = cls.target
-                        (state.scalars if type(key) is str else state.cells)[key] = cls.value
-                        trail.append(key)
-                    outcome, f = (), f.tail
-                else:
-                    outcome = FAIL if cls is CLOSED_FALSE else ERRORS[
+                h = f.head
+                tag, cls = "atom", (table.get(id(h)) or code.atom(h))(env, scalars, cells)
+                if cls is CLOSED_FALSE:
+                    outcome = FAIL
+                elif type(cls) is NotEvaluable:
+                    outcome = ERRORS[
                         EVALUATION_FAULT if cls.fault is not None else ATOM_NOT_EVALUABLE]
+                else:  # true, or it bound the key it returned
+                    if cls is not CLOSED_TRUE:
+                        trail.append(cls)
+                    outcome, f = (), f.tail
             elif type(f) is Cons:
                 head, tail = f.head, f.tail
                 rule = _RULES.get(type(head))
@@ -497,19 +500,19 @@ class _Search(FreshNames):
         return "exists", ((head.body, inner, rest),)
 
     def _expand_call(self, head: Call, env: Env, rest: Goal | None) -> Expansion:
-        body, callee = self._callee(head, env)
+        body, callee = self._callee(head, [subst_term(arg, env) for arg in head.args])
         return "procedure-unfold", ((body, callee, rest),)
 
-    def _callee(self, head: Call, env: Env) -> tuple[Formula, Env]:
+    def _callee(self, head: Call, args: list[Term]) -> tuple[Formula, Env]:
         """The body of the procedure head calls and the environment it runs
-        under: each parameter bound to its argument with env substituted."""
+        under: each parameter bound to its argument, resolved (args)."""
         proc = self.code.procedures.get(head.name)
         if proc is None:
             raise ValueError(f"unknown procedure {head.name!r}")
-        if len(proc.params) != len(head.args):
+        if len(proc.params) != len(args):
             raise ValueError(f"procedure {head.name!r} expects {len(proc.params)} "
-                             f"argument(s), got {len(head.args)}")
-        return proc.body, {p: subst_term(arg, env) for (p, _), arg in zip(proc.params, head.args)}
+                             f"argument(s), got {len(args)}")
+        return proc.body, {p: arg for (p, _), arg in zip(proc.params, args)}
 
     def _expand_not(self, head: Not, env: Env, rest: Goal | None) -> Expansion:
         """A liberal negation continues on a failed operand and fails on a
@@ -550,12 +553,13 @@ class _Search(FreshNames):
         """A range's first step: evaluate its bounds.  The loop then steps
         the range as a cursor, as it does every later step through it."""
         tag = "bounded-exists" if type(head) is ExistsBounded else "bounded-forall"
-        try:
-            lo = try_eval_term(head.lo, self.state, self.code, env)
-            hi = try_eval_term(head.hi, self.state, self.code, env)
+        scalars, cells, code = self.state.scalars, self.state.cells, self.code
+        try:  # a constant bound needs no code
+            lo, hi = [t.value if type(t) is IntConst else code.bound(t)(env, scalars, cells)
+                      for t in (head.lo, head.hi)]
         except EvalFault:
             return tag, ERRORS[EVALUATION_FAULT]
-        if lo is None or hi is None:
+        if lo is _OPEN or hi is _OPEN:
             return tag, ERRORS[UNBOUNDED_RANGE]
         return tag, Range(head, lo, hi, fresh_prefix(head.var), env, rest)
 
@@ -614,20 +618,25 @@ class _Search(FreshNames):
         binder of the formula it reads (binder names are unique and calls are
         acyclic), so an array index that reads one reads it as open.  A
         call's body is read under the callee's environment, from the same
-        stack, so a deep chain of calls does not recurse."""
+        stack, so a deep chain of calls does not recurse.  A callee's
+        environment holds the very terms checked as the call's arguments, and
+        a term found closed is not read again (known), so each argument of a
+        chain of calls costs its own size, not the whole of what it holds."""
         arrays, scalars, cells = self.code.arrays, self.state.scalars, self.state.cells
         todo = [(f, env, frozenset())]  # (formula, its environment, binders met)
+        known: dict = {}  # id -> a term found closed without a binder
         while todo:
             f, env, bound = todo.pop()
             while type(f) is Cons:
                 h = f.head
                 terms, subs, var = head_parts(h)
+                if env:
+                    terms = [subst_term(t, env) for t in terms]
                 for t in terms:
-                    if not closed_value(subst_term(t, env) if env else t,
-                                        bound, scalars, cells, arrays):
+                    if not closed_value(t, bound, scalars, cells, arrays, known):
                         return False
                 if type(h) is Call:
-                    body, callee = self._callee(h, env)
+                    body, callee = self._callee(h, terms)
                     todo.append((body, callee, bound))
                 if subs:
                     inner = bound if var is None else bound | {var}

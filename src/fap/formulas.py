@@ -336,8 +336,8 @@ class ProgramUnit:
         return Code(self)
 
     def __getstate__(self) -> dict:
-        # the compiled form holds closures, which do not pickle; a copy
-        # compiles its own
+        # the compiled form holds generated functions, which do not pickle; a
+        # copy compiles its own
         return {k: v for k, v in self.__dict__.items() if k != "code"}
 
 

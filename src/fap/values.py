@@ -12,22 +12,26 @@ engine runs quantifier and procedure bodies as written and resolves their
 binders and parameters through the environment, which maps each such name
 to a term that no longer mentions any of them.
 
-The text of a program never changes while it runs, so its terms and atoms
-are compiled, each into one closure `(env, scalars, cells) -> value | _OPEN`
-(an atom's closure returns its class), in the manner of Feeley and Lapalme,
-"Using closures for code generation" (Computer Languages 12(1), 1987):
-constants are folded, and array references read their declared ranges from
-the closure instead of the declaration.  `Code` is the compiled form of one
-program unit, built part by part the first time a search reaches each part;
-the unit owns it (`ProgramUnit.code`), so every search of the program reuses
-it.  The terms an environment maps names to are built at run time, and are
-evaluated by `value_of`, which walks them with an explicit stack however deep
-a chain of calls made them.
+The text of a program never changes while it runs, so each of its atoms
+and range bounds runs as one Python function generated from its text: the
+interpreter partially evaluated on the program (Jones, Gomard and Sestoft,
+"Partial Evaluation and Automatic Program Generation", 1993).  Constants
+are folded, variable reads and array references go inline, and an equation
+that binds writes the value into the store it was given and returns the
+key it bound.  The source of a function names its constants, names, ranges
+and operators by parameters, so atoms of one shape share one compiled
+source in a process.  `Code` is the compiled form of one program unit,
+built part by part the first time a search reaches each part; the unit
+owns it (`ProgramUnit.code`), so every search of the program reuses it.
+The terms an environment maps names to are built at run time, and are
+evaluated by `value_of`, which walks them with an explicit stack however
+deep a chain of calls made them.
 """
 
 from __future__ import annotations
 
 import operator
+from types import FunctionType
 from typing import Callable, Mapping
 
 from .formulas import (
@@ -211,8 +215,10 @@ CLOSED_TRUE = ClosedTrue()
 CLOSED_FALSE = ClosedFalse()
 NOT_EVALUABLE = NotEvaluable()
 
-# (env, scalars, cells) -> AtomClass: a compiled atom
-AtomCode = Callable[[Env, dict, dict], AtomClass]
+# (env, scalars, cells) -> CLOSED_TRUE, CLOSED_FALSE, a NotEvaluable, or the
+# key of the variable or cell it bound, the value written into scalars or
+# cells: a compiled atom
+AtomCode = Callable[[Env, dict, dict], object]
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +231,20 @@ NO_ARRAYS: Decls = {}  # shared: never written
 
 
 class Code:
-    """The compiled form of one program unit, built part by part: a term or
-    atom is compiled the first time it is asked for, and so is each part the
-    engine keeps (implication rewrites, the free variables of a witness-checked
-    operand).  Closedness is read off the text instead (engine.formula_closed):
-    only strict negation, pedantic implication, a dirty witness and a traced
-    negation's tag ask for it, too rarely for compiling it to pay.  The table is
-    keyed by the identity of program-text nodes and keeps every node it is
-    keyed by alive, so no key is ever reused by another node.  Give it only
-    nodes of the program text: a node built at run time would be compiled on
-    every visit and kept for good.  The compiled code refers to `arrays`,
-    never to the table, so a program and its code are freed together when
-    the program is.  Searches also read the procedures by name and the
-    query's free variables' sorts off it."""
+    """The compiled form of one program unit, built part by part: an atom or
+    a range's bound is compiled the first time it is asked for, and so is
+    each part the engine keeps (implication rewrites, the free variables of
+    a witness-checked operand).  Closedness is read off the text instead
+    (engine.formula_closed): only strict negation, pedantic implication, a
+    dirty witness and a traced negation's tag ask for it, too rarely for
+    compiling it to pay.  The table is keyed by the identity of program-text
+    nodes and keeps every node it is keyed by alive, so no key is ever
+    reused by another node.  Give it only nodes of the program text: a node
+    built at run time would be compiled on every visit and kept for good.
+    The compiled code refers to `arrays`, never to the table, so a program
+    and its code are freed together when the program is.  Searches also
+    read the procedures by name and the query's free variables' sorts off
+    it."""
 
     __slots__ = ("arrays", "procedures", "free", "table", "_keep")
 
@@ -245,7 +252,7 @@ class Code:
         self.arrays = {d.name: d for d in program.arrays} if program.arrays else NO_ARRAYS
         self.procedures = {p.name: p for p in program.procedures}
         self.free = dict(program.free_vars)
-        # id(term or atom) -> its code; (kind, id(node), ...) -> an engine part
+        # id(atom or bound) -> its code; (kind, id(node), ...) -> an engine part
         self.table: dict = {}
         self._keep: list = []  # the nodes whose ids key the table
 
@@ -258,153 +265,19 @@ class Code:
             self._keep.append(node)
         return hit
 
+    def atom(self, atom: Atom) -> AtomCode:
+        """The generated function of an atom of the program."""
+        return self.part(id(atom), atom, lambda: compile_atom(atom, self.arrays))
 
-# ---------------------------------------------------------------------------
-# Compiling terms.
-#
-# A compiled closure takes what it was compiled with as default arguments,
-# not as closure cells, so each compiled part is one function and one tuple:
-# programs are loaded by the thousand and most of their parts run briefly.
-
-
-def _constant(t: Term):
-    """The value of t when it reads no variable or cell and does not fault,
-    else _OPEN."""
-    kind = type(t)
-    if kind is IntConst or kind is BoolConst:
-        return t.value
-    if kind is App:
-        lhs, rhs = _constant(t.args[0]), _constant(t.args[1])
-        if lhs is not _OPEN and rhs is not _OPEN:
-            try:
-                return _FUNCTIONS[t.op](lhs, rhs)
-            except EvalFault:
-                pass
-    return _OPEN
-
-
-def compile_term(t: Term, arrays: Decls) -> TermCode:
-    """t as a closure (env, scalars, cells) -> value or _OPEN; it raises
-    EvalFault where t faults."""
-    value = _constant(t)
-    if value is not _OPEN:
-        def const(env, scalars, cells, value=value):
-            return value
-
-        return const
-    kind = type(t)
-    if kind is Var:
-        def var(env, scalars, cells, name=t.name, arrays=arrays):
-            bound = env.get(name)
-            if bound is None:
-                return scalars.get(name, _OPEN)
-            if type(bound) is Var:  # a quantifier instance
-                return scalars.get(bound.name, _OPEN)
-            return value_of(bound, scalars, cells, arrays)
-
-        return var
-    if kind is App:
-        return _compile_app(t, arrays)
-    if kind is ArrayRef:
-        return _compile_ref(t, arrays)
-    raise TypeError(f"unknown term {t!r}")
-
-
-def _compile_app(t: App, arrays: Decls) -> TermCode:
-    fn = _FUNCTIONS[t.op]
-    lhs, rhs = t.args
-    k = _constant(rhs)
-    if k is not _OPEN:
-        def app_k(env, scalars, cells, f=compile_term(lhs, arrays), k=k, fn=fn):
-            v = f(env, scalars, cells)
-            return _OPEN if v is _OPEN else fn(v, k)
-
-        return app_k
-
-    def app(env, scalars, cells, f=compile_term(lhs, arrays), g=compile_term(rhs, arrays), fn=fn):
-        a = f(env, scalars, cells)
-        b = g(env, scalars, cells)
-        if a is _OPEN or b is _OPEN:
-            return _OPEN
-        return fn(a, b)
-
-    return app
+    def bound(self, t: Term) -> TermCode:
+        """The generated function of a bound of one of the program's ranges."""
+        return self.part(id(t), t, lambda: compile_bound(t, self.arrays))
 
 
 def _ranges(t: ArrayRef, arrays: Decls) -> tuple:
     """The declared ranges of t's array when they match its indices."""
     decl = arrays.get(t.array)
     return decl.ranges if decl is not None and len(decl.ranges) == len(t.indices) else ()
-
-
-def _compile_ref(t: ArrayRef, arrays: Decls) -> TermCode:
-    """The value of the cell t refers to; references with one or two indices
-    read and range-check them inline."""
-    ranges = _ranges(t, arrays)
-    if len(ranges) == 1:
-        def ref1(env, scalars, cells, f=compile_term(t.indices[0], arrays),
-                 name=t.array, lo=ranges[0][0], hi=ranges[0][1]):
-            i = f(env, scalars, cells)
-            if i is _OPEN:
-                return _OPEN
-            if lo <= i <= hi:
-                return cells.get((name, (i,)), _OPEN)
-            raise EvalFault(FAULT_RANGE)
-
-        return ref1
-
-    def ref(env, scalars, cells, cell_of=compile_cell(t, arrays)):
-        cell = cell_of(env, scalars, cells)
-        return _OPEN if cell is _OPEN else cells.get(cell, _OPEN)
-
-    return ref
-
-
-def compile_cell(t: ArrayRef, arrays: Decls) -> TermCode:
-    """The cell t refers to as a closure: _OPEN while an index is open (the
-    later indices are then not read); a closed index outside the declared
-    range faults."""
-    name = t.array
-    ranges = _ranges(t, arrays)
-    idx = tuple(compile_term(i, arrays) for i in t.indices)
-    if len(ranges) == 1:
-        def cell1(env, scalars, cells, f=idx[0], name=name, lo=ranges[0][0], hi=ranges[0][1]):
-            i = f(env, scalars, cells)
-            if i is _OPEN:
-                return _OPEN
-            if lo <= i <= hi:
-                return (name, (i,))
-            raise EvalFault(FAULT_RANGE)
-
-        return cell1
-    if len(ranges) == 2:
-        def cell2(env, scalars, cells, f0=idx[0], f1=idx[1], name=name, ranges=ranges):
-            i = f0(env, scalars, cells)
-            if i is _OPEN:
-                return _OPEN
-            j = f1(env, scalars, cells)
-            if j is _OPEN:
-                return _OPEN
-            (lo0, hi0), (lo1, hi1) = ranges
-            if lo0 <= i <= hi0 and lo1 <= j <= hi1:
-                return (name, (i, j))
-            raise EvalFault(FAULT_RANGE)
-
-        return cell2
-
-    def cell(env, scalars, cells, idx=idx, name=name, arrays=arrays):
-        key = []
-        for f in idx:
-            v = f(env, scalars, cells)
-            if v is _OPEN:
-                return _OPEN
-            key.append(v)
-        key = tuple(key)
-        if not arrays[name].in_range(key):
-            raise EvalFault(FAULT_RANGE)
-        return (name, key)
-
-    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -459,54 +332,60 @@ def value_of(t: Term, scalars: dict, cells: dict, arrays: Decls = NO_ARRAYS):
 
 
 def cell_value(t: ArrayRef, scalars: dict, cells: dict, arrays: Decls):
-    """The cell a run-time reference denotes, _OPEN while an index is open."""
+    """The cell a run-time reference denotes, _OPEN while an index is open.
+    Only read after value_of(t), which range-checks closed indices."""
     key = []
     for i in t.indices:
         v = value_of(i, scalars, cells, arrays)
         if v is _OPEN:
             return _OPEN
         key.append(v)
-    key = tuple(key)
-    if not arrays[t.array].in_range(key):
-        raise EvalFault(FAULT_RANGE)
-    return (t.array, key)
+    return (t.array, tuple(key))
 
 
-def closed_value(
-    t: Term, bound: frozenset[str], scalars: dict, cells: dict, arrays: Decls
-) -> bool:
+def _resolved_target(t: Term, scalars: dict, cells: dict, arrays: Decls):
+    """What an open run-time term binds: itself when it is a variable, its
+    cell when it is a reference with closed indices, else _OPEN."""
+    if type(t) is Var:
+        return t.name
+    if type(t) is ArrayRef:
+        return cell_value(t, scalars, cells, arrays)
+    return _OPEN
+
+
+def closed_value(t: Term, bound: frozenset[str], scalars: dict, cells: dict, arrays: Decls,
+                 known: dict | None = None) -> bool:
     """Whether t is closed under an empty environment: each variable has a
-    value or is in bound, and each array reference denotes a bound cell."""
-    todo = [t]
+    value or is in bound, and each array reference denotes a bound cell.
+    known (id -> term) holds terms found closed before, which are not read
+    again; t joins it when it is closed without a name of bound."""
+    known = {} if known is None else known
+    todo, binder = [t], False
     while todo:
-        t = todo.pop()
-        kind = type(t)
+        s = todo.pop()
+        kind = type(s)
+        if id(s) in known:
+            continue
         if kind is Var:
-            if t.name not in scalars and t.name not in bound:
-                return False
+            if s.name not in scalars:
+                if s.name not in bound:
+                    return False
+                binder = True
         elif kind is App:
-            todo += t.args
+            todo += s.args
         elif kind is ArrayRef:
             try:
-                if value_of(t, scalars, cells, arrays) is _OPEN:
+                if value_of(s, scalars, cells, arrays) is _OPEN:
                     return False
             except EvalFault:
                 return False
+    if not binder:
+        known[id(t)] = t
     return True
 
 
 # ---------------------------------------------------------------------------
 # Public evaluation
-
-
-def try_eval_term(t: Term, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> Value | None:
-    """Value of a closed term of code's program, None when t is open; raises
-    EvalFault on div/mod-by-zero or an out-of-range cell with closed
-    indices."""
-    if type(t) is IntConst:  # a constant bound needs no code
-        return t.value
-    v = code.part(id(t), t, lambda: compile_term(t, code.arrays))(env, a.scalars, a.cells)
-    return None if v is _OPEN else v
 
 
 def is_closed(t: Term, a: Valuation, arrays: Decls = NO_ARRAYS) -> bool:
@@ -524,18 +403,64 @@ def eval_term(t: Term, a: Valuation, arrays: Decls = NO_ARRAYS) -> Value:
     return v
 
 
-# ---------------------------------------------------------------------------
-# Compiling atoms
-
-
 def classify_atom(atom: Atom, a: Valuation, code: Code, env: Env = EMPTY_ENV) -> AtomClass:
     """Decide the evaluation case for an atom of code's program under env
-    and a valuation.  Procedure calls are unfolded by the engine before
+    and a valuation, by running its generated function on copies of a's
+    dicts.  Procedure calls are unfolded by the engine before
     classification and are rejected here.  Faults are reported in-band via
     NotEvaluable.fault."""
-    compiled = (code.table.get(id(atom))
-                or code.part(id(atom), atom, lambda: compile_atom(atom, code.arrays)))
-    return compiled(env, a.scalars, a.cells)
+    scalars, cells = dict(a.scalars), dict(a.cells)
+    cls = code.atom(atom)(env, scalars, cells)
+    if type(cls) is str:
+        return Assignment(cls, scalars[cls])
+    if type(cls) is tuple:
+        return Assignment(cls, cells[cls])
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# Generating code.
+#
+# Each atom and each non-constant bound of the program text runs as one
+# Python function generated from it: the interpreter partially evaluated on
+# the program text (Jones, Gomard and Sestoft, "Partial Evaluation and
+# Automatic Program Generation", 1993).  The source takes each constant,
+# variable name, declared range and operator function as a parameter, so
+# what it depends on is the atom's shape (_shape), whose source is
+# generated and compiled once in a process; an atom's function is that
+# code with the atom's own values as the parameters' defaults.  The source
+# is flat however deep the text nests: one local per subterm, each set by a
+# simple statement, and an index after the first is read under a flag that
+# says every index before it is closed.  A name v... holds a value or
+# _OPEN, a name p... a parameter.
+
+# What reads a variable {n} through the environment, which maps it to {e},
+# and what an open one binds.
+_VAR_VALUE = ("scalars.get({n}, _OPEN) if {e} is None else scalars.get({e}.name, _OPEN) "
+              "if type({e}) is Var else value_of({e}, scalars, cells, arrays)")
+_VAR_TARGET = ("{n} if {e} is None else {e}.name if type({e}) is Var "
+               "else _resolved_target({e}, scalars, cells, arrays)")
+# The class of a relation between values {l} and {r}.
+_REL_CLASS = "NOT_EVALUABLE if {open} else CLOSED_TRUE if {holds}({l}, {r}) else CLOSED_FALSE"
+
+SHAPE_CACHE = 4096  # the shapes kept compiled; a full cache starts afresh
+_shapes: dict = {}  # shape (_shape) -> the code of its generated function
+
+
+def _constant(t: Term):
+    """The value of t when it reads no variable or cell and does not fault,
+    else _OPEN."""
+    kind = type(t)
+    if kind is IntConst or kind is BoolConst:
+        return t.value
+    if kind is App:
+        lhs, rhs = _constant(t.args[0]), _constant(t.args[1])
+        if lhs is not _OPEN and rhs is not _OPEN:
+            try:
+                return _FUNCTIONS[t.op](lhs, rhs)
+            except EvalFault:
+                pass
+    return _OPEN
 
 
 def _closed_true(env, scalars, cells):
@@ -547,173 +472,194 @@ def _closed_false(env, scalars, cells):
 
 
 def compile_atom(atom: Atom, arrays: Decls) -> AtomCode:
-    """atom as a closure (env, scalars, cells) -> its class.  Atoms that
-    read nothing share one closure per class."""
+    """atom as one generated function (env, scalars, cells) -> its class, or
+    the key of what it bound, the value written into scalars or cells.  Each
+    side is read before either is tested.  An open side that is a bare
+    variable or an array reference with closed indices is what an equation
+    binds.  Atoms that read nothing share one function per class."""
     kind = type(atom)
-    if kind is Eq:
-        return _compile_eq(atom, arrays)
-    if kind is Rel:
-        return _compile_rel(atom, arrays)
     if kind is TrueAtom:
         return _closed_true
     if kind is FalseAtom:
         return _closed_false
     if kind is Call:
         raise TypeError("procedure atoms must be unfolded before classification")
-    raise TypeError(f"unknown atom {atom!r}")
-
-
-def _compile_rel(atom: Rel, arrays: Decls) -> AtomCode:
-    op = _RELATIONS[atom.op]
+    if kind is not Eq and kind is not Rel:
+        raise TypeError(f"unknown atom {atom!r}")
+    holds = operator.eq if kind is Eq else _RELATIONS[atom.op]
     lk, rk = _constant(atom.lhs), _constant(atom.rhs)
     if lk is not _OPEN and rk is not _OPEN:
-        return _closed_true if op(lk, rk) else _closed_false
-
-    def rel(env, scalars, cells, f=compile_term(atom.lhs, arrays),
-            g=compile_term(atom.rhs, arrays), op=op):
-        try:
-            lhs = f(env, scalars, cells)
-            rhs = g(env, scalars, cells)
-        except EvalFault as fault:
-            return NotEvaluable(fault.reason)
-        if lhs is _OPEN or rhs is _OPEN:
-            return NOT_EVALUABLE
-        return CLOSED_TRUE if op(lhs, rhs) else CLOSED_FALSE
-
-    return rel
+        return _closed_true if holds(lk, rk) else _closed_false
+    values = [arrays]
+    shape = ("eq" if kind is Eq else "rel", _shape(atom.lhs, values, arrays),
+             _shape(atom.rhs, values, arrays))
+    if kind is Rel:
+        values.append(holds)
+    return _function(shape, values)
 
 
-def _compile_eq(atom: Eq, arrays: Decls) -> AtomCode:
-    """Each side is read once.  An open side that is a bare variable or an
-    array reference with closed indices is what an assignment binds.  An
-    equation between variables and constants reads its variables inline."""
-    lhs, rhs = atom.lhs, atom.rhs
-    lk, rk = _constant(lhs), _constant(rhs)
-    if lk is not _OPEN and rk is not _OPEN:
-        return _closed_true if lk == rk else _closed_false
-    if type(lhs) is Var and rk is not _OPEN:
-        return _eq_var_k(lhs.name, rk, arrays)
-    if type(rhs) is Var and lk is not _OPEN:
-        return _eq_var_k(rhs.name, lk, arrays)
-    if type(lhs) is Var and type(rhs) is Var:
-        return _eq_vars(lhs.name, rhs.name, arrays)
-    lval, lcell, lname = _side(lhs, arrays)
-    rval, rcell, rname = _side(rhs, arrays)
+def compile_bound(t: Term, arrays: Decls) -> TermCode:
+    """A range's bound as one generated function (env, scalars, cells) ->
+    its value or _OPEN; it raises EvalFault where t faults."""
+    values = [arrays]
+    return _function(("bound", _shape(t, values, arrays), None), values)
 
-    def eq(env, scalars, cells, lval=lval, lcell=lcell, lname=lname,
-           rval=rval, rcell=rcell, rname=rname, arrays=arrays):
-        try:
-            if lcell is None:
-                lhs = lval(env, scalars, cells)
-            else:
-                lc = lcell(env, scalars, cells)
-                lhs = _OPEN if lc is _OPEN else cells.get(lc, _OPEN)
-            if rcell is None:
-                rhs = rval(env, scalars, cells)
-            else:
-                rc = rcell(env, scalars, cells)
-                rhs = _OPEN if rc is _OPEN else cells.get(rc, _OPEN)
-        except EvalFault as fault:
-            return NotEvaluable(fault.reason)
-        if lhs is _OPEN:
-            if rhs is _OPEN:
-                return NOT_EVALUABLE
-            target = lc if lcell is not None else _target(lname, env, scalars, cells, arrays)
-            value = rhs
-        elif rhs is _OPEN:
-            target = rc if rcell is not None else _target(rname, env, scalars, cells, arrays)
-            value = lhs
+
+def _shape(t: Term, values: list, arrays: Decls):
+    """What the generated code that reads t depends on: "k" for a constant,
+    "x" for a variable, ("f", lhs, rhs) for a function and ("[", indices,
+    ranges known) for an array reference.  The values its parameters take
+    are appended to values, in the order the generator names them."""
+    k = _constant(t)
+    if k is not _OPEN:
+        values.append(k)
+        return "k"
+    kind = type(t)
+    if kind is Var:
+        values.append(t.name)
+        return "x"
+    if kind is App:
+        shape = ("f", _shape(t.args[0], values, arrays), _shape(t.args[1], values, arrays))
+        values.append(_FUNCTIONS[t.op])
+        return shape
+    if kind is ArrayRef:
+        indices = tuple(_shape(i, values, arrays) for i in t.indices)
+        ranges = _ranges(t, arrays)
+        values.append(t.array)
+        for lo_hi in ranges:
+            values += lo_hi
+        return ("[", indices, bool(ranges))
+    raise TypeError(f"unknown term {t!r}")
+
+
+def _function(shape: tuple, values: list) -> Callable:
+    """The function generated for shape, its parameters' defaults values."""
+    code = _shapes.get(shape)
+    if code is None:
+        if len(_shapes) >= SHAPE_CACHE:
+            _shapes.clear()
+        namespace: dict = {}
+        exec(compile(_Source().function(shape), "<fap generated>", "exec"), globals(), namespace)
+        code = _shapes[shape] = namespace["generated"].__code__
+    return FunctionType(code, globals(), code.co_name, tuple(values))
+
+
+def _any_open(*names: str) -> str:
+    """The test that one of the named values is _OPEN ('' when each is a
+    constant's parameter)."""
+    return " or ".join(f"{n} is _OPEN" for n in names if n[0] == "v")
+
+
+class _Source:
+    """The source of the function generated for one shape: its parameters
+    are `arrays`, then p0, p1, ... in the order _shape gives their values."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.guard: str | None = None  # the flag the statements emitted now run under
+        self.params = self.names = 0
+
+    def function(self, shape: tuple) -> str:
+        kind, lhs, rhs = shape
+        if kind == "bound":
+            value = self.term(lhs)
+            body = [*self.lines, f"return {value}"]
+        elif kind == "rel":
+            lhs, rhs = self.term(lhs), self.term(rhs)
+            body = self._try() + ["return " + _REL_CLASS.format(
+                open=_any_open(lhs, rhs), holds=self.param(), l=lhs, r=rhs)]
         else:
-            return CLOSED_TRUE if lhs == rhs else CLOSED_FALSE
-        return NOT_EVALUABLE if target is _OPEN else Assignment(target, value)
+            (lhs, ltarget), (rhs, rtarget) = self.side(lhs), self.side(rhs)
+            body = self._try() + [
+                f"if {lhs} is _OPEN:", f"    if {rhs} is _OPEN:", "        return NOT_EVALUABLE",
+                f"    key, value = {ltarget}, {rhs}",
+                f"elif {rhs} is _OPEN:", f"    key, value = {rtarget}, {lhs}",
+                "else:", f"    return CLOSED_TRUE if {lhs} == {rhs} else CLOSED_FALSE",
+                "if key is _OPEN:", "    return NOT_EVALUABLE",
+                "(scalars if type(key) is str else cells)[key] = value", "return key"]
+        params = "".join(f", p{i}" for i in range(self.params))
+        return f"def generated(env, scalars, cells, arrays{params}):\n    " + "\n    ".join(body)
 
-    return eq
+    def _try(self) -> list[str]:
+        """The statements emitted so far, a fault in them the atom's class."""
+        return ["try:", *(f"    {line}" for line in self.lines),
+                "except EvalFault as fault:", "    return NotEvaluable(fault.reason)"]
 
+    def param(self) -> str:
+        self.params += 1
+        return f"p{self.params - 1}"
 
-def _side(t: Term, arrays: Decls) -> tuple[TermCode | None, TermCode | None, str | None]:
-    """How an equation side is read: (its value, or None when it is an array
-    reference, read through its cell), (its cell, or None), and the name a
-    bare variable side binds through the environment."""
-    if type(t) is ArrayRef:
-        return None, compile_cell(t, arrays), None
-    return compile_term(t, arrays), None, t.name if type(t) is Var else None
+    def local(self, kind: str) -> str:
+        self.names += 1
+        return f"{kind}{self.names}"
 
+    def emit(self, statement: str) -> None:
+        self.lines.append(statement if self.guard is None else f"if {self.guard}: {statement}")
 
-def _eq_var_k(name: str, k: Value, arrays: Decls) -> AtomCode:
-    """x = k, or k = x."""
-    def eq_var_k(env, scalars, cells, name=name, k=k, arrays=arrays,
-                 assign=Assignment(name, k)):  # what binding `name` itself gives
-        bound = env.get(name)
-        if bound is None:
-            target = name
-        elif type(bound) is Var:
-            target = bound.name
+    def term(self, shape) -> str:
+        """Emit what reads a term of this shape; return the name that then
+        holds its value."""
+        if shape == "k":
+            return self.param()
+        if shape == "x":
+            return self.var()[0]
+        if shape[0] == "[":
+            return self.ref(shape)[0]
+        args = [self.term(shape[1]), self.term(shape[2])]
+        v, call = self.local("v"), f"{self.param()}({', '.join(args)})"
+        test = _any_open(*args)  # '' only where folding the constants faulted
+        self.emit(f"{v} = _OPEN if {test} else {call}" if test else f"{v} = {call}")
+        return v
+
+    def side(self, shape) -> tuple[str, str]:
+        """Emit what reads an equation side; return the name of its value
+        and what it binds while open (_OPEN for a side that binds nothing)."""
+        if shape == "x":
+            return self.var()
+        if shape[0] == "[":
+            return self.ref(shape)
+        return self.term(shape), "_OPEN"
+
+    def var(self) -> tuple[str, str]:
+        """Emit what reads a variable through the environment; return the
+        name of its value and what it binds while open."""
+        n, e, v = self.param(), self.local("e"), self.local("v")
+        self.emit(f"{e} = env.get({n})")
+        self.emit(f"{v} = " + _VAR_VALUE.format(n=n, e=e))
+        return v, _VAR_TARGET.format(n=n, e=e)
+
+    def ref(self, shape: tuple) -> tuple[str, str]:
+        """Emit what reads an array reference: its indices in order, each
+        after the first only while those before it are closed, then the
+        range check of closed indices.  Return the names of its value and of
+        its cell, each _OPEN while an index is open."""
+        _, shapes, ranges_known = shape
+        outer = closed = self.guard  # what holds while the indices so far are closed
+        indices: list[str] = []
+        for i in shapes:
+            if indices and indices[-1][0] == "v":
+                self.guard = closed = self._closed(closed, indices[-1])
+            indices.append(self.term(i))
+        self.guard = outer
+        if indices[-1][0] == "v":
+            closed = self._closed(closed, indices[-1])
+        name, key = self.param(), f"({''.join(i + ', ' for i in indices)})"
+        check = (" and ".join(f"{self.param()} <= {i} <= {self.param()}" for i in indices)
+                 if ranges_known else f"arrays[{name}].in_range({key})")
+        cell, v = self.local("k"), self.local("v")
+        # unguarded: closed already holds the guard this reference is read under
+        if closed is None:
+            self.lines += [f"if not ({check}): raise EvalFault(FAULT_RANGE)",
+                           f"{cell} = ({name}, {key})", f"{v} = cells.get({cell}, _OPEN)"]
         else:
-            return _classify_eq(bound, _constant_term(k), scalars, cells, arrays)
-        v = scalars.get(target, _OPEN)
-        if v is _OPEN:
-            return assign if target is name else Assignment(target, k)
-        return CLOSED_TRUE if v == k else CLOSED_FALSE
+            self.lines += [f"if {closed} and not ({check}): raise EvalFault(FAULT_RANGE)",
+                           f"{cell} = ({name}, {key}) if {closed} else _OPEN",
+                           f"{v} = _OPEN if {cell} is _OPEN else cells.get({cell}, _OPEN)"]
+        return v, cell
 
-    return eq_var_k
-
-
-def _eq_vars(lname: str, rname: str, arrays: Decls) -> AtomCode:
-    """x = y."""
-    def eq_vars(env, scalars, cells, lname=lname, rname=rname, arrays=arrays):
-        lhs = env.get(lname, None)
-        rhs = env.get(rname, None)
-        lt = lname if lhs is None else lhs.name if type(lhs) is Var else None
-        rt = rname if rhs is None else rhs.name if type(rhs) is Var else None
-        if lt is None or rt is None:
-            return _classify_eq(lhs or Var(lname), rhs or Var(rname), scalars, cells, arrays)
-        lv = scalars.get(lt, _OPEN)
-        rv = scalars.get(rt, _OPEN)
-        if lv is _OPEN:
-            return NOT_EVALUABLE if rv is _OPEN else Assignment(lt, rv)
-        if rv is _OPEN:
-            return Assignment(rt, lv)
-        return CLOSED_TRUE if lv == rv else CLOSED_FALSE
-
-    return eq_vars
-
-
-def _constant_term(v: Value) -> Term:
-    return BoolConst(v) if type(v) is bool else IntConst(v)
-
-
-def _classify_eq(lhs: Term, rhs: Term, scalars: dict, cells: dict, arrays: Decls) -> AtomClass:
-    """lhs = rhs between terms built at run time."""
-    try:
-        lv = value_of(lhs, scalars, cells, arrays)
-        rv = value_of(rhs, scalars, cells, arrays)
-    except EvalFault as fault:
-        return NotEvaluable(fault.reason)
-    if lv is _OPEN:
-        if rv is _OPEN:
-            return NOT_EVALUABLE
-        target, value = _resolved_target(lhs, scalars, cells, arrays), rv
-    elif rv is _OPEN:
-        target, value = _resolved_target(rhs, scalars, cells, arrays), lv
-    else:
-        return CLOSED_TRUE if lv == rv else CLOSED_FALSE
-    return NOT_EVALUABLE if target is _OPEN else Assignment(target, value)
-
-
-def _target(name: str | None, env: Env, scalars: dict, cells: dict, arrays: Decls):
-    """What an open bare-variable side binds: the variable, or what the
-    environment resolves it to when that is a variable or a reference with
-    closed indices; _OPEN when there is nothing to bind."""
-    if name is None:
-        return _OPEN
-    return _resolved_target(env.get(name) or Var(name), scalars, cells, arrays)
-
-
-def _resolved_target(t: Term, scalars: dict, cells: dict, arrays: Decls):
-    """What an open run-time term binds: itself when it is a variable, its
-    cell when it is a reference with closed indices, else _OPEN."""
-    if type(t) is Var:
-        return t.name
-    if type(t) is ArrayRef:
-        return cell_value(t, scalars, cells, arrays)
-    return _OPEN
+    def _closed(self, before: str | None, index: str) -> str:
+        """A flag, set whatever guard holds: `before` holds and index is closed."""
+        flag = self.local("f")
+        self.lines.append(f"{flag} = {before} and {index} is not _OPEN" if before
+                          else f"{flag} = {index} is not _OPEN")
+        return flag

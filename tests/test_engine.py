@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import pickle
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from fap.engine import (
     Success,
     TreeStatus,
     UNBOUNDED_RANGE,
+    _Search,
     eval_subtree_status,
     iter_leaves,
     iter_trace,
@@ -28,7 +30,7 @@ from fap.formulas import EMPTY, ProgramUnit
 from fap.normalize import load, load_query, normalize_program
 from fap.oracle import GeneratorConfig, generate
 from fap.squares import squares_program
-from fap.values import EMPTY_VALUATION, Valuation
+from fap.values import EMPTY_VALUATION, Valuation, closed_value
 
 LIBERAL = EngineConfig(negation=NegationMode.LIBERAL)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -248,6 +250,35 @@ def test_terms_built_deep_at_run_time():
     src = deep_sum_chain("def p0(a, z) := EXISTS w . w = a AND w > z;", "y = 0 AND NOT p999(y, z)")
     assert solve(load(src), config=LIBERAL).error_causes == ("negand-undetermined",)
 
+
+
+def test_closedness_of_a_call_chain_takes_linear_work():
+    # each argument of p{i} holds that of p{i+1}: read whole, the strict
+    # negation's closedness walk would cost the square of the chain
+    watched = {_Search.formula_closed.__code__, closed_value.__code__}
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    def work(n: int) -> int:
+        nonlocal lines
+        src = "def p0(a, z) := a = z;\n" + "".join(
+            f"def p{i}(a, z) := p{i - 1}(a + 1, z);\n" for i in range(1, n))
+        program = load(src + f"query y = 0 AND NOT p{n - 1}(y, y);")
+        lines, before = 0, sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count if frame.f_code in watched else None)
+        try:
+            r = solve(program)
+        finally:
+            sys.settrace(before)
+        assert (r.status, r.steps) == (TreeStatus.SUCCESSFUL, n + 4)
+        return lines
+
+    # four times the chain: about 4x when linear, 16x when quadratic
+    assert work(1000) / work(250) <= 4.5
 
 
 def test_a_solved_program_copies_and_pickles_without_its_code():

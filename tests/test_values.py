@@ -2,6 +2,9 @@ import itertools
 
 import pytest
 
+from naive_reference import RError, reference_leaves
+from fap import values
+from fap.engine import solve
 from fap.formulas import (
     App,
     ArrayDecl,
@@ -13,7 +16,10 @@ from fap.formulas import (
     Rel,
     Scalar,
     Var,
+    format_program,
 )
+from fap.normalize import load
+from fap.oracle import GeneratorConfig, generate
 from fap.values import (
     Assignment,
     ClosedFalse,
@@ -166,6 +172,14 @@ def test_array_cell_assignment():
     assert got == Assignment(("m", (1, 2)), 5)
 
 
+def test_classification_leaves_the_valuation_as_it_was():
+    v = Valuation({"i": 1, "j": 2})
+    assert classify_atom(Eq(ArrayRef("m", (Var("i"), Var("j"))), X), v.bind("x", 5), code()) == (
+        Assignment(("m", (1, 2)), 5))
+    assert classify_atom(Eq(Y, IntConst(3)), v, code()) == Assignment("y", 3)
+    assert v == Valuation({"i": 1, "j": 2}) and EMPTY_VALUATION == Valuation()
+
+
 def test_bound_cell_equation_is_an_ordinary_test():
     v = Valuation({}, {("a", (0,)): 5})
     assert classify_atom(Eq(ArrayRef("a", (IntConst(0),)), IntConst(5)), v, code()) == ClosedTrue()
@@ -225,3 +239,71 @@ def test_closed_atoms_agree_with_ground_truth():
         for op, fn in ops.items():
             got = classify_atom(Rel(op, IntConst(a), IntConst(b)), EMPTY_VALUATION, code())
             assert got == (ClosedTrue() if fn(a, b) else ClosedFalse())
+
+
+# -- generated code -------------------------------------------------------------
+
+def nested(k: int, inner: str, shape: str) -> str:
+    """A term k levels deep in one of three shapes around `inner`."""
+    if shape == "sum":
+        return "(x) + " * k + inner
+    t = inner
+    for _ in range(k):
+        t = f"b[0, {t}]" if shape == "b" else f"a[{t}]"
+    return t
+
+
+NESTED_DECLS = "array a[0..1] : int;\narray b[0..1, 0..1] : int;\n"
+
+
+@pytest.mark.parametrize("shape, depths", [("b", (140, 148)), ("a", (140, 148)),
+                                           ("sum", (140, 149))])
+@pytest.mark.parametrize("inner, cause", [("0", None), ("z", "atom-not-evaluable"),
+                                          ("1 div 0", "evaluation-fault")])
+def test_generated_code_survives_the_nesting_limit(shape, depths, inner, cause):
+    # the parser takes each shape up to the depth given last; the generated
+    # source stays flat, so the interpreter's own limits never come near
+    for k in depths:
+        program = load(NESTED_DECLS + "query a[0] = 0 AND b[0, 0] = 0 AND x = 1 AND "
+                       f"y = {nested(k, inner, shape)};")
+        r = solve(program)
+        want = reference_leaves(program, EMPTY_VALUATION)
+        assert len(r.leaves) == len(want) == 1
+        if cause is None:
+            assert (r.steps, r.solutions) == (5, (want[0].valuation,))
+        else:
+            assert (r.steps, r.error_causes) == (4, (cause,))
+            assert isinstance(want[0], RError)
+
+
+@pytest.mark.parametrize("atom, cause", [
+    ("b[x, 1 div 0] = 1", "atom-not-evaluable"),  # no index after an open one is read
+    ("(1 div 0) + x = 1", "evaluation-fault"),  # both arguments are read, and a fault wins
+    ("x + (1 div 0) = 1", "evaluation-fault"),
+    ("x < 1 div 0", "evaluation-fault"),  # as both sides of a relation are
+    ("b[1 div 0, x] = 1", "evaluation-fault"),
+])
+def test_generated_code_keeps_the_reading_order(atom, cause):
+    assert solve(load(NESTED_DECLS + f"query {atom};")).error_causes == (cause,)
+
+
+def test_a_shape_is_compiled_once_a_process(monkeypatch):
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(values, "_shapes", {})
+    monkeypatch.setattr(values, "compile", counting, raising=False)
+
+    def load_and_solve():
+        for seed in range(200):
+            for arrays in (False, True):
+                program = generate(GeneratorConfig(seed=seed, arrays_and_quantifiers=arrays))
+                solve(load(format_program(program)))
+
+    load_and_solve()
+    first = len(compiled)
+    load_and_solve()  # new programs, the same shapes
+    assert first > 0 and len(compiled) == first
